@@ -1,4 +1,6 @@
-// ABL — ablations for the design choices DESIGN.md calls out:
+// ABL — ablations for the design choices of the periodic and blind
+// strategies (docs/ARCHITECTURE.md, "Periodic in-place execution and the
+// legality margin" and "The six strategies"):
 //
 //  A. executor: in-place shared-state vs split/merge (deep copies) — the
 //     overhead the split/merge path pays per phase, which fig. 2 measures.

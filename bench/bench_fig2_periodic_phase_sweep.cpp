@@ -7,7 +7,8 @@
 //
 // The split/merge executor provides the real per-phase overhead the figure
 // measures; the 4-thread virtual clock provides the quad-core wall time
-// (this container has one core; see DESIGN.md §2).
+// on any host (see docs/ARCHITECTURE.md, "Substitutions for the paper's
+// testbed").
 
 #include <iostream>
 

@@ -29,7 +29,8 @@ struct SessionResult {
 
 /// Run `iterations` local moves against the shared state restricted to one
 /// partition, accumulating the scalar state-cache deltas locally so that
-/// concurrent sessions never write shared scalars (see DESIGN.md §5).
+/// concurrent sessions never write shared scalars (see
+/// docs/ARCHITECTURE.md, "Periodic in-place execution").
 SessionResult runLocalSessionShared(model::ModelState& state,
                                     const mcmc::MoveRegistry& registry,
                                     const mcmc::RegionConstraint& rc,

@@ -19,8 +19,9 @@ enum class LocalExecutor : std::uint8_t {
   /// undisturbed).
   Serial,
   /// Shared-memory concurrency on the library ThreadPool; workers mutate the
-  /// shared state under the legality margin (DESIGN.md §5) and accumulate
-  /// scalar deltas thread-locally.
+  /// shared state under the legality margin (docs/ARCHITECTURE.md,
+  /// "Periodic in-place execution") and accumulate scalar deltas
+  /// thread-locally.
   InPlacePool,
   /// As InPlacePool but on OpenMP threads.
   InPlaceOmp,
@@ -61,8 +62,9 @@ struct PeriodicParams {
 
   /// When > 0, also account a virtual wall clock for an SMP with this many
   /// threads (requires a serial executor so per-partition costs can be
-  /// measured; see DESIGN.md §2). Adds makespan(partition costs) per local
-  /// phase plus the measured split/merge overhead.
+  /// measured; see docs/ARCHITECTURE.md, "Substitutions for the paper's
+  /// testbed"). Adds makespan(partition costs) per local phase plus the
+  /// measured split/merge overhead.
   unsigned virtualThreads = 0;
 
   /// Speculative lanes during global phases (eq. 3); 1 disables.

@@ -12,6 +12,10 @@
 #include "partition/blind.hpp"
 #include "partition/intelligent.hpp"
 
+namespace mcmcpar::par {
+class ThreadPool;
+}  // namespace mcmcpar::par
+
 namespace mcmcpar::core {
 
 /// Parameters shared by the image-partitioning pipelines (§VIII): the model
@@ -75,6 +79,8 @@ struct PipelineReport {
   /// of the partitions") plus partitioner and merge costs.
   double parallelRuntime = 0.0;
   /// Wall time with `loadBalancedThreads` processors and LPT scheduling.
+  /// Like parallelRuntime this is the §IX *model*, built from each
+  /// partition's time-to-plateau, not the measured wall time of the run.
   double loadBalancedRuntime = 0.0;
   unsigned loadBalancedThreads = 2;
   bool cancelled = false;           ///< stopped early via RunHooks
@@ -92,20 +98,30 @@ struct PipelineReport {
 [[nodiscard]] PartitionRun runWholeImage(const img::ImageF& filtered,
                                          const PipelineParams& params);
 
+/// Both pipelines run their partitions through one executor. Each
+/// partition's budget (base + perCircle * eq. 5 estimate, capped) is known
+/// up front, and partitions are dispatched longest budget first (LPT, §IX's
+/// task scheduler): on `pool` plus the calling thread when a pool is given,
+/// else one after another on the calling thread. Partition i always runs
+/// with the same seed and lands in report slot i, so circles, per-partition
+/// runs and `merged` are bit-identical whatever the thread count. Hook
+/// callbacks from concurrent partitions are serialised. Cancellation is
+/// polled before each partition (and inside each partition's sampler);
+/// partitions that had started stay in the report, in index order.
+
 /// Intelligent partitioning (§VIII-IX): threshold-scan pre-processor cuts
 /// the image along empty rows/columns, each partition runs independent
 /// MCMC with its own estimated prior, and results are concatenated
 /// (boundaries cross no artifact, so recombination is trivial).
-/// Cancellation is polled between partitions (and inside each partition's
-/// sampler); already-finished partitions stay in the report.
 [[nodiscard]] PipelineReport runIntelligentPipeline(
     const img::ImageF& filtered, const PipelineParams& params,
-    const mcmc::RunHooks& hooks = {});
+    const mcmc::RunHooks& hooks = {}, par::ThreadPool* pool = nullptr);
 
 /// Blind partitioning (§VIII-IX): a simple grid with overlap margin, MCMC
 /// on each expanded partition, heuristic merge (fig. 4).
 [[nodiscard]] PipelineReport runBlindPipeline(const img::ImageF& filtered,
                                               const PipelineParams& params,
-                                              const mcmc::RunHooks& hooks = {});
+                                              const mcmc::RunHooks& hooks = {},
+                                              par::ThreadPool* pool = nullptr);
 
 }  // namespace mcmcpar::core

@@ -464,27 +464,25 @@ class PipelineStrategy final : public StrategyBase {
     params.intelligent.theta = problem_.theta;
     params.seed = resources_.seed;
     params.iterationsCap = budget.iterations;
-    // The pipelines execute partitions on the calling thread;
-    // loadBalancedThreads only feeds the §IX LPT runtime *model*, so cap it
-    // at the shared budget's total instead of leasing live workers away
-    // from concurrent jobs.
-    params.loadBalancedThreads = par::resolveThreadCount(resources_.threads);
-    if (resources_.poolBudget != nullptr) {
-      params.loadBalancedThreads =
-          std::min(params.loadBalancedThreads, resources_.poolBudget->total());
-    }
+    const par::PoolLease lease = leaseThreads();
+    params.loadBalancedThreads = lease.threads();
+    // parallelFor also drains partitions on this (already-leased) thread,
+    // so the pool is one smaller than the lease: pool + caller == lease.
+    std::unique_ptr<par::ThreadPool> pool;
+    if (lease.threads() > 1) pool = par::makeThreadPool(lease.threads() - 1);
 
     const par::WallTimer timer;
     core::PipelineReport pipeline =
-        blind_ ? core::runBlindPipeline(*problem_.filtered, params, hooks)
+        blind_ ? core::runBlindPipeline(*problem_.filtered, params, hooks,
+                                        pool.get())
                : core::runIntelligentPipeline(*problem_.filtered, params,
-                                              hooks);
+                                              hooks, pool.get());
 
     RunReport report = baseReport();
     report.wallSeconds = timer.seconds();
     report.cancelled = pipeline.cancelled;
     report.circles = pipeline.merged;
-    report.threadsUsed = params.loadBalancedThreads;
+    report.threadsUsed = lease.threads();
     for (const core::PartitionRun& partition : pipeline.partitions) {
       report.iterations += partition.iterations;
       report.diagnostics.merge(partition.diagnostics);

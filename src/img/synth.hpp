@@ -28,7 +28,8 @@ struct ClusterSpec {
 
 /// Parameters of the synthetic scene generator.
 ///
-/// The generator substitutes for the paper's micrographs (see DESIGN.md §2):
+/// The generator substitutes for the paper's micrographs (see
+/// docs/ARCHITECTURE.md, "Substitutions for the paper's testbed"):
 /// it renders soft-edged bright discs on a dark background, adds an optional
 /// illumination gradient and Gaussian pixel noise, and returns the ground
 /// truth so experiments can score precision/recall.

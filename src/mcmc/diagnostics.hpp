@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mcmcpar::mcmc {
@@ -20,8 +21,11 @@ struct TracePoint {
 /// pgr and plr); the trace feeds the convergence detector.
 class Diagnostics {
  public:
-  /// Record a proposal outcome for the named move.
-  void record(const std::string& moveName, bool accepted);
+  /// Record a proposal outcome for the named move. Called once per
+  /// iteration: a move set holds a handful of moves, so the counters are a
+  /// small vector scanned by name, and a move seen before costs no
+  /// allocation and no tree lookup.
+  void record(std::string_view moveName, bool accepted);
 
   /// Append a trace point.
   void tracePoint(std::uint64_t iteration, double logPosterior,
@@ -41,9 +45,8 @@ class Diagnostics {
     }
   };
 
-  [[nodiscard]] const std::map<std::string, MoveStats>& perMove() const noexcept {
-    return stats_;
-  }
+  /// Counters of every recorded move, keyed and ordered by move name.
+  [[nodiscard]] std::map<std::string, MoveStats> perMove() const;
   [[nodiscard]] const std::vector<TracePoint>& trace() const noexcept {
     return trace_;
   }
@@ -64,7 +67,15 @@ class Diagnostics {
   void clear();
 
  private:
-  std::map<std::string, MoveStats> stats_;
+  struct MoveSlot {
+    std::string name;
+    MoveStats stats;
+  };
+
+  /// The counters of `moveName`, appending a slot on first sight.
+  MoveStats& slot(std::string_view moveName);
+
+  std::vector<MoveSlot> moves_;  ///< in first-recorded order
   std::vector<TracePoint> trace_;
 };
 

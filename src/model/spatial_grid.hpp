@@ -16,7 +16,8 @@ namespace mcmcpar::model {
 /// Concurrency contract (relied on by the in-place periodic executor): a
 /// mutation touches only the bucket(s) containing the old and new centre.
 /// Partition legality guarantees concurrent phases mutate disjoint buckets;
-/// see DESIGN.md §5.
+/// see docs/ARCHITECTURE.md, "Periodic in-place execution and the legality
+/// margin".
 class SpatialGrid {
  public:
   SpatialGrid() = default;

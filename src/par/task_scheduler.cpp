@@ -16,23 +16,26 @@ double TaskSchedule::makespan(std::span<const double> costs) const {
   return worst;
 }
 
-TaskSchedule lptSchedule(std::span<const double> costs, unsigned threads) {
-  threads = std::max(threads, 1u);
-  TaskSchedule schedule;
-  schedule.perThread.resize(threads);
-
+std::vector<std::size_t> lptOrder(std::span<const double> costs) {
   std::vector<std::size_t> order(costs.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return costs[a] > costs[b];
   });
+  return order;
+}
+
+TaskSchedule lptSchedule(std::span<const double> costs, unsigned threads) {
+  threads = std::max(threads, 1u);
+  TaskSchedule schedule;
+  schedule.perThread.resize(threads);
 
   // Min-heap of (accumulated load, thread).
   using Slot = std::pair<double, unsigned>;
   std::priority_queue<Slot, std::vector<Slot>, std::greater<>> heap;
   for (unsigned t = 0; t < threads; ++t) heap.emplace(0.0, t);
 
-  for (std::size_t i : order) {
+  for (std::size_t i : lptOrder(costs)) {
     auto [load, t] = heap.top();
     heap.pop();
     schedule.perThread[t].push_back(i);

@@ -14,6 +14,12 @@ struct TaskSchedule {
   [[nodiscard]] double makespan(std::span<const double> costs) const;
 };
 
+/// Task indices longest cost first, ties in index order: the order in which
+/// lptSchedule assigns tasks. A dynamic scheduler that hands tasks out in
+/// this order to whichever thread frees up first runs the same LPT rule
+/// online, without knowing the costs exactly.
+[[nodiscard]] std::vector<std::size_t> lptOrder(std::span<const double> costs);
+
 /// Longest-Processing-Time-first schedule of `costs` onto `threads` threads
 /// (the classic 4/3-approximation to minimum makespan). This is what the
 /// paper's "task scheduler ... allowing more partitions than there are

@@ -24,10 +24,11 @@ class WallTimer {
 
 /// Accumulator of *virtual* elapsed time for the simulated-SMP executors.
 ///
-/// This container has a single physical core, but the paper's experiments
-/// compare wall times on 2-4 core machines. The virtual executors run
-/// parallel regions serially, measure each task, and charge this clock the
-/// makespan an s-thread machine would achieve (see DESIGN.md §2). Serial
+/// The paper's experiments compare wall times on specific 2-4 core
+/// machines. The virtual executors run parallel regions serially, measure
+/// each task, and charge this clock the makespan an s-thread machine would
+/// achieve, whatever the host's core count or load (see
+/// docs/ARCHITECTURE.md, "Substitutions for the paper's testbed"). Serial
 /// sections are charged at face value.
 class VirtualClock {
  public:

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+
 #include "analysis/metrics.hpp"
 #include "core/pipeline.hpp"
+#include "engine/registry.hpp"
 #include "img/synth.hpp"
+#include "par/concurrency.hpp"
+#include "par/thread_pool.hpp"
 
 namespace mcmcpar::core {
 namespace {
@@ -140,6 +147,225 @@ TEST(BlindPipeline, MergeStatsAccountForAllResults) {
   EXPECT_EQ(produced, s.droppedOutsideCore + s.autoAccepted +
                           2 * s.mergedPairs + s.disputedAccepted +
                           s.disputedDiscarded);
+}
+
+// ---------------------------------------------------------------------------
+// The shared partition executor: concurrent partitions on the job's leased
+// threads, bit-identical to the sequential run.
+// ---------------------------------------------------------------------------
+
+engine::Problem pipelineProblem(const img::Scene& scene) {
+  engine::Problem problem;
+  problem.filtered = &scene.image;
+  problem.prior.radiusMean = 8.0;
+  problem.prior.radiusStd = 0.8;
+  problem.prior.radiusMin = 3.0;
+  problem.prior.radiusMax = 14.0;
+  return problem;
+}
+
+/// Small per-partition budgets (200 + 100 per estimated bead, capped) keep
+/// every case quick under TSan, and still differ between partitions so the
+/// executor's longest-first order is not the index order.
+constexpr std::uint64_t kPartitionCap = 1000;
+
+engine::RunReport runPipeline(const std::string& strategy,
+                              const img::Scene& scene, unsigned threads,
+                              const engine::RunHooks& hooks = {},
+                              par::PoolBudget* budget = nullptr) {
+  engine::ExecResources resources{threads, false, 23};
+  resources.poolBudget = budget;
+  std::vector<std::string> options = {"iters-base=200", "iters-per-circle=100"};
+  if (strategy == "blind") {
+    options.insert(options.end(), {"grid-x=3", "grid-y=2"});
+  }
+  return engine::Engine(resources).run(strategy, pipelineProblem(scene),
+                                       engine::RunBudget{kPartitionCap, 0},
+                                       hooks, options);
+}
+
+const core::PipelineReport& pipelineOf(const engine::RunReport& report) {
+  return std::get<core::PipelineReport>(report.extras);
+}
+
+class PipelineThreads : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(PipelineThreads, ResultsAreBitIdenticalAcrossThreadCounts) {
+  const img::Scene scene = img::generateScene(img::beadsScene(37));
+  const engine::RunReport one = runPipeline(GetParam(), scene, 1);
+  const core::PipelineReport& reference = pipelineOf(one);
+  ASSERT_GE(reference.partitions.size(), 3u);
+  EXPECT_NE(reference.partitions.front().iterations,
+            reference.partitions.back().iterations);
+  EXPECT_EQ(one.threadsUsed, 1u);
+  for (const unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const engine::RunReport many = runPipeline(GetParam(), scene, threads);
+    const core::PipelineReport& pipeline = pipelineOf(many);
+    EXPECT_EQ(many.threadsUsed, threads);
+    EXPECT_EQ(pipeline.loadBalancedThreads, threads);
+    EXPECT_EQ(many.circles, one.circles);
+    EXPECT_EQ(many.logPosterior, one.logPosterior);
+    EXPECT_EQ(many.iterations, one.iterations);
+    EXPECT_EQ(pipeline.merged, reference.merged);
+    ASSERT_EQ(pipeline.partitions.size(), reference.partitions.size());
+    for (std::size_t i = 0; i < pipeline.partitions.size(); ++i) {
+      const PartitionRun& got = pipeline.partitions[i];
+      const PartitionRun& want = reference.partitions[i];
+      EXPECT_TRUE(got.rect == want.rect) << i;
+      EXPECT_EQ(got.iterations, want.iterations) << i;
+      EXPECT_EQ(got.circles, want.circles) << i;
+      EXPECT_EQ(got.finalLogPosterior, want.finalLogPosterior) << i;
+    }
+  }
+}
+
+TEST_P(PipelineThreads, CancelAfterKPartitionsKeepsFinishedOnesInIndexOrder) {
+  const img::Scene scene = img::generateScene(img::beadsScene(37));
+  const core::PipelineReport full =
+      pipelineOf(runPipeline(GetParam(), scene, 1));
+  const std::size_t n = full.partitions.size();
+  ASSERT_GE(n, 4u);
+  constexpr std::size_t k = 2;
+
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::atomic<std::size_t> partitionsDone{0};
+    engine::RunHooks hooks;
+    hooks.onProgress = [&](const mcmc::RunProgress& p) {
+      if (std::string(p.phase) == "partition") partitionsDone = p.done;
+    };
+    hooks.cancelRequested = [&] { return partitionsDone >= k; };
+    const engine::RunReport report =
+        runPipeline(GetParam(), scene, threads, hooks);
+    const core::PipelineReport& pipeline = pipelineOf(report);
+
+    EXPECT_TRUE(report.cancelled);
+    EXPECT_TRUE(pipeline.cancelled);
+    // Every partition started before the cancel fired is kept (at most one
+    // per thread was still running); none after it is.
+    EXPECT_GE(pipeline.partitions.size(), k);
+    EXPECT_LE(pipeline.partitions.size(), k + threads - 1);
+    EXPECT_LT(pipeline.partitions.size(), n);
+
+    // Kept partitions are a subsequence of the full run, in index order,
+    // and the ones that ran to completion equal the uncancelled run.
+    std::size_t next = 0;
+    std::vector<model::Circle> concatenated;
+    for (const PartitionRun& run : pipeline.partitions) {
+      while (next < n && !(full.partitions[next].rect == run.rect)) ++next;
+      ASSERT_LT(next, n) << "partition out of index order";
+      if (run.iterations == full.partitions[next].iterations) {
+        EXPECT_EQ(run.circles, full.partitions[next].circles);
+      }
+      ++next;
+      concatenated.insert(concatenated.end(), run.circles.begin(),
+                          run.circles.end());
+    }
+    if (std::string(GetParam()) == "intelligent") {
+      EXPECT_EQ(pipeline.merged, concatenated);
+    }
+  }
+}
+
+TEST_P(PipelineThreads, HooksNeverOverlapAndPartitionProgressReachesTotal) {
+  const img::Scene scene = img::generateScene(img::beadsScene(37));
+  std::atomic<bool> inside{false};
+  std::atomic<int> overlaps{0};
+  std::atomic<std::uint64_t> partitionDone{0}, partitionTotal{0};
+  const auto enter = [&] {
+    if (inside.exchange(true)) ++overlaps;
+  };
+  const auto leave = [&] { inside = false; };
+
+  engine::RunHooks hooks;
+  hooks.onProgress = [&](const mcmc::RunProgress& p) {
+    enter();
+    if (std::string(p.phase) == "partition") {
+      EXPECT_EQ(p.done, partitionDone + 1);  // serialised, so monotonic
+      partitionDone = p.done;
+      partitionTotal = p.total;
+    }
+    std::this_thread::yield();
+    leave();
+  };
+  hooks.onTrace = [&](const mcmc::TracePoint&) {
+    enter();
+    std::this_thread::yield();
+    leave();
+  };
+  hooks.cancelRequested = [&] {
+    enter();
+    std::this_thread::yield();
+    leave();
+    return false;
+  };
+
+  const engine::RunReport report = runPipeline(GetParam(), scene, 4, hooks);
+  const std::size_t n = pipelineOf(report).partitions.size();
+  EXPECT_FALSE(report.cancelled);
+  EXPECT_EQ(overlaps, 0);
+  EXPECT_EQ(partitionTotal, n);
+  EXPECT_EQ(partitionDone, n);
+}
+
+TEST_P(PipelineThreads, RunsOnTheLeaseAndReturnsTheBudgetIntact) {
+  const img::Scene scene = img::generateScene(img::beadsScene(37));
+  par::PoolBudget budget(2);
+  // The budget owner pays for the job's own thread; another job holds the
+  // only other one.
+  ASSERT_EQ(budget.tryAcquire(1), 1u);
+  {
+    const par::PoolLease elsewhere = par::PoolLease::acquire(&budget, 2);
+    ASSERT_EQ(elsewhere.threads(), 2u);
+    ASSERT_EQ(budget.available(), 0u);
+
+    const engine::RunReport report =
+        runPipeline(GetParam(), scene, 4, {}, &budget);
+    EXPECT_EQ(report.threadsUsed, 1u);
+    EXPECT_EQ(pipelineOf(report).loadBalancedThreads, 1u);
+    EXPECT_EQ(budget.available(), 0u);
+  }
+  budget.release(1);
+  EXPECT_EQ(budget.available(), 2u);
+
+  // With the budget free again the job leases the spare thread, and still
+  // gives it back.
+  ASSERT_EQ(budget.tryAcquire(1), 1u);
+  const engine::RunReport report =
+      runPipeline(GetParam(), scene, 4, {}, &budget);
+  EXPECT_EQ(report.threadsUsed, 2u);
+  EXPECT_EQ(budget.available(), 1u);
+  budget.release(1);
+  EXPECT_EQ(budget.available(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(IntelligentAndBlind, PipelineThreads,
+                         ::testing::Values("intelligent", "blind"));
+
+TEST(PartitionExecutor, PartitionIRunsCutIWithItsOwnSeedOnAnyPool) {
+  const img::Scene scene = img::generateScene(img::beadsScene(39));
+  PipelineParams params = smallParams();
+  params.iterationsBase = 200;
+  params.iterationsPerCircle = 100;
+  const auto cuts =
+      partition::intelligentPartition(scene.image, params.intelligent);
+  const PipelineReport sequential = runIntelligentPipeline(scene.image, params);
+  par::ThreadPool pool(2);
+  const PipelineReport pooled =
+      runIntelligentPipeline(scene.image, params, {}, &pool);
+  EXPECT_EQ(pooled.merged, sequential.merged);
+  ASSERT_EQ(pooled.partitions.size(), cuts.partitions.size());
+  ASSERT_EQ(sequential.partitions.size(), cuts.partitions.size());
+  for (std::size_t i = 0; i < cuts.partitions.size(); ++i) {
+    // Slot i holds cut i, sampled with seed + 101 * (i + 1), whatever
+    // order the executor dispatched the partitions in.
+    const PartitionRun alone = runPartitionMcmc(
+        scene.image, cuts.partitions[i], params, params.seed + 101 * (i + 1));
+    EXPECT_TRUE(pooled.partitions[i].rect == cuts.partitions[i]) << i;
+    EXPECT_EQ(pooled.partitions[i].circles, alone.circles) << i;
+    EXPECT_EQ(sequential.partitions[i].circles, alone.circles) << i;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "img/synth.hpp"
 #include "mcmc/convergence.hpp"
@@ -116,6 +119,47 @@ TEST(Diagnostics, MergeCombinesCountsAndSortsTraces) {
   ASSERT_EQ(a.trace().size(), 2u);
   EXPECT_EQ(a.trace()[0].iteration, 5u);
   EXPECT_EQ(a.trace()[1].iteration, 10u);
+}
+
+TEST(Diagnostics, MergeIsAStableSortOfTheConcatenatedTraces) {
+  // Sorted traces (the sampler case, merged in linear time) and an unsorted
+  // one must both come out as std::stable_sort of the concatenation: equal
+  // iterations keep this object's points first, each side in its order.
+  const std::vector<std::vector<std::uint64_t>> cases = {
+      {10, 20, 20, 30}, {5, 20, 20, 40}, {30, 10, 20}};
+  Diagnostics merged;
+  std::vector<TracePoint> expected;
+  double tag = 0.0;
+  for (const auto& iterations : cases) {
+    Diagnostics part;
+    for (const std::uint64_t it : iterations) {
+      part.tracePoint(it, tag, 0);
+      expected.push_back(TracePoint{it, tag, 0});
+      tag += 1.0;
+    }
+    merged.merge(part);
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const TracePoint& a, const TracePoint& b) {
+                       return a.iteration < b.iteration;
+                     });
+    ASSERT_EQ(merged.trace().size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(merged.trace()[i].iteration, expected[i].iteration) << i;
+      EXPECT_EQ(merged.trace()[i].logPosterior, expected[i].logPosterior) << i;
+    }
+  }
+}
+
+TEST(Diagnostics, PerMoveIsOrderedByNameWhateverTheRecordOrder) {
+  Diagnostics d;
+  for (const char* name : {"split", "add", "resize", "add", "merge"}) {
+    d.record(name, false);
+  }
+  std::vector<std::string> names;
+  for (const auto& [name, stats] : d.perMove()) names.push_back(name);
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"add", "merge", "resize", "split"}));
+  EXPECT_EQ(d.perMove().at("add").proposed, 2u);
 }
 
 TEST(Convergence, DetectsPlateauOnSyntheticRise) {

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Verify that every local markdown link in README.md and docs/*.md points at
 # a file that exists, so docs cross-references cannot rot. External (http)
-# links and pure #anchors are skipped. Run from the repository root.
+# links and pure #anchors are skipped. Also fail when a comment under src/,
+# bench/ or tools/ cites a DESIGN document: there is none, the design notes
+# live in docs/ARCHITECTURE.md. Run from the repository root.
 #
 # usage: check_doc_links.sh [file.md ...]   (default: README.md docs/*.md)
 set -euo pipefail
@@ -29,6 +31,13 @@ for file in "${FILES[@]}"; do
     fi
   done < <(grep -oE '\]\([^)]+\)' "$file" | sed -E 's/^\]\(//; s/\)$//')
 done
+
+# The bracket keeps this script from matching its own pattern.
+if grep -rnI 'DESIGN[.]md' src bench tools; then
+  echo "BROKEN: the lines above cite a DESIGN document that does not exist;" \
+    "point them at docs/ARCHITECTURE.md"
+  fail=1
+fi
 
 if [[ $fail -ne 0 ]]; then
   echo "docs link check failed"

@@ -272,12 +272,13 @@ void printExtras(const engine::RunReport& report) {
         periodic->overheadSeconds);
   } else if (const auto* pipeline =
                  std::get_if<core::PipelineReport>(&report.extras)) {
+    // Both runtimes are the §IX model (time-to-plateau), not wall time.
     std::printf(
-        "  [%s] %zu partitions, parallel runtime %.3f s, "
-        "load-balanced (%u cpus) %.3f s\n",
+        "  [%s] %zu partitions on %u threads, modelled runtime %.3f s "
+        "(1 cpu/partition), %.3f s (LPT on %u)\n",
         report.strategy.c_str(), pipeline->partitions.size(),
-        pipeline->parallelRuntime, pipeline->loadBalancedThreads,
-        pipeline->loadBalancedRuntime);
+        pipeline->loadBalancedThreads, pipeline->parallelRuntime,
+        pipeline->loadBalancedRuntime, pipeline->loadBalancedThreads);
   } else if (const auto* sharded =
                  std::get_if<shard::ShardReport>(&report.extras)) {
     char gridLabel[32];
