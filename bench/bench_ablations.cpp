@@ -50,9 +50,9 @@ int main(int argc, char** argv) {
       core::LocalExecutor executor;
     };
     for (const Choice& c :
-         {Choice{"in-place (shared state)", core::LocalExecutor::Serial},
+         {Choice{"in-place (shared state)", core::LocalExecutor::InPlace},
           Choice{"split/merge (deep copy)",
-                 core::LocalExecutor::SplitMergeSerial}}) {
+                 core::LocalExecutor::SplitMerge}}) {
       model::ModelState state = bench::makeState(w, opt.seed + 21);
       core::PeriodicParams params;
       params.totalIterations = iterations;
@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
       core::PeriodicParams params;
       params.totalIterations = iterations;
       params.globalPhaseIterations = 52;
-      params.executor = core::LocalExecutor::Serial;
       params.randomiseLayout = randomise;
       core::PeriodicSampler sampler(state, registry, params, opt.seed + 32);
       sampler.run();
@@ -118,7 +117,6 @@ int main(int argc, char** argv) {
       core::PeriodicParams params;
       params.totalIterations = iterations;
       params.globalPhaseIterations = 52;
-      params.executor = core::LocalExecutor::Serial;
       params.allocation = mode;
       core::PeriodicSampler sampler(state, registry, params, opt.seed + 42);
       sampler.run();

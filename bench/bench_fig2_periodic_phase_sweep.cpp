@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     core::PeriodicParams params;
     params.totalIterations = w.iterations;
     params.globalPhaseIterations = z;
-    params.executor = core::LocalExecutor::SplitMergeSerial;
+    params.executor = core::LocalExecutor::SplitMerge;
     params.virtualThreads = 4;
     core::PeriodicSampler sampler(state, registry, params, opt.seed + 3);
     const core::PeriodicReport report = sampler.run();

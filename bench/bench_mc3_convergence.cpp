@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
       {"periodic (virt. 4 thr)",
        "periodic",
        74,
-       {"phase=520", "executor=serial", "virtual-threads=4"}},
+       {"phase=520", "virtual-threads=4"}},
   };
 
   analysis::Table table(

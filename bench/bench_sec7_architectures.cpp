@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     // needs a larger z; bench_fig2's sweep locates the plateau at z ~ 1040
     // for the reduced workload.
     params.globalPhaseIterations = opt.paperScale ? 130 : 1040;
-    params.executor = core::LocalExecutor::SplitMergeSerial;
+    params.executor = core::LocalExecutor::SplitMerge;
     params.virtualThreads = preset.threads;
     core::PeriodicSampler sampler(state, registry, params, opt.seed + 3);
     const core::PeriodicReport report = sampler.run();

@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
       params.layout = core::PartitionLayout::UniformGrid;
       params.gridSpacingX = w.scene.image.width() / grid.gx;
       params.gridSpacingY = w.scene.image.height() / grid.gy;
-      params.executor = core::LocalExecutor::Serial;
       params.margin = 0.0;
       params.virtualThreads = grid.s;
       core::PeriodicSampler sampler(state, registry, params, opt.seed + 7);

@@ -78,8 +78,8 @@ int main(int argc, char** argv) {
   // In shared memory the in-place executor is the right choice: local
   // sessions mutate the shared state under the legality margin and pay no
   // split/merge copies (bench_ablations quantifies the difference; the
-  // SplitMerge executors exist for the cluster/fig.-2 overhead story).
-  params.executor = core::LocalExecutor::Serial;
+  // SplitMerge executor exists for the cluster/fig.-2 overhead story).
+  params.executor = core::LocalExecutor::InPlace;
   params.virtualThreads = 4;  // model a quad-core (Q6600-like) machine
   core::PeriodicSampler periodic(perState, registry, params, 22);
   const core::PeriodicReport report = periodic.run();

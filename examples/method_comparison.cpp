@@ -42,9 +42,9 @@ int main() {
   problem.prior.radiusMin = 4.0;
   problem.prior.radiusMax = 13.0;
 
-  const engine::Engine eng(engine::ExecResources{/*threads=*/0,
-                                                 /*useOpenMp=*/false,
-                                                 /*seed=*/17});
+  // threads=0 leases every hardware thread; each parallel strategy runs on
+  // one pool built from that lease.
+  const engine::Engine eng(engine::ExecResources{.threads = 0, .seed = 17});
   analysis::Table table({"strategy", "seconds", "iters", "found", "precision",
                          "recall", "F1"});
   for (const std::string& name : eng.registry().names()) {

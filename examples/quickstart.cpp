@@ -41,10 +41,10 @@ int main(int argc, char** argv) {
   problem.prior.radiusMin = 4.0;
   problem.prior.radiusMax = 15.0;
 
-  // 3. Run any registered strategy by name on shared resources. RunHooks
-  //    gives live progress (and could cancel the run).
-  engine::Engine eng(engine::ExecResources{/*threads=*/0, /*useOpenMp=*/false,
-                                           /*seed=*/7});
+  // 3. Run any registered strategy by name on shared resources: threads=0
+  //    leases every hardware thread to parallel strategies. RunHooks gives
+  //    live progress (and could cancel the run).
+  engine::Engine eng(engine::ExecResources{.threads = 0, .seed = 7});
   engine::RunHooks hooks;
   hooks.onProgress = [](const engine::RunProgress& p) {
     if (p.total != 0 && p.done == p.total) {

@@ -7,7 +7,6 @@
 #include "core/split_merge.hpp"
 #include "mcmc/sampler.hpp"
 #include "par/concurrency.hpp"
-#include "par/omp_support.hpp"
 #include "par/task_scheduler.hpp"
 #include "par/virtual_clock.hpp"
 #include "partition/grid.hpp"
@@ -102,33 +101,27 @@ struct PeriodicSampler::Impl {
   const mcmc::MoveRegistry& registry;
   PeriodicParams params;
   rng::Stream master;
-  std::unique_ptr<par::ThreadPool> pool;
+  par::ThreadPool* pool;
   std::unique_ptr<spec::SpeculativeExecutor> specExec;
   std::uint64_t phaseCounter = 0;
 
   Impl(model::ModelState& s, const mcmc::MoveRegistry& r,
-       const PeriodicParams& p, std::uint64_t seed)
-      : state(s), registry(r), params(p), master(seed) {
-    if (params.executor == LocalExecutor::InPlacePool ||
-        params.executor == LocalExecutor::SplitMergePool) {
-      pool = par::makeThreadPool(params.threads);
-    }
+       const PeriodicParams& p, std::uint64_t seed, par::ThreadPool* tp)
+      : state(s), registry(r), params(p), master(seed), pool(tp) {
     if (params.specLanesGlobal > 1) {
       specExec = std::make_unique<spec::SpeculativeExecutor>(
           state, registry, params.specLanesGlobal,
-          master.derive(0xC0FFEE).bits(), pool.get());
+          master.derive(0xC0FFEE).bits(), pool);
     }
   }
 
+  /// Concurrent in-place sessions need the safety margin; sessions that run
+  /// one at a time, or on detached sub-states, do not.
   [[nodiscard]] double effectiveMargin() const {
     if (params.margin >= 0.0) return params.margin;
-    switch (params.executor) {
-      case LocalExecutor::InPlacePool:
-      case LocalExecutor::InPlaceOmp:
-        return partition::inPlaceSafetyMargin(state);
-      default:
-        return 0.0;
-    }
+    return params.executor == LocalExecutor::InPlace && pool != nullptr
+               ? partition::inPlaceSafetyMargin(state)
+               : 0.0;
   }
 
   [[nodiscard]] std::vector<model::Bounds> makePartitions(rng::Stream& stream) const {
@@ -228,81 +221,45 @@ struct PeriodicSampler::Impl {
     const par::WallTimer bodyTimer;
     double splitMergeOverhead = 0.0;
 
-    switch (params.executor) {
-      case LocalExecutor::Serial: {
-        for (std::size_t i = 0; i < partitions.size(); ++i) {
-          if (allocation[i] == 0) continue;
-          results[i] =
-              runLocalSessionShared(state, registry, constraints[i],
-                                    candidates[i], allocation[i], streams[i]);
-        }
-        break;
+    if (params.executor == LocalExecutor::InPlace) {
+      par::forEachIndex(pool, partitions.size(), [&](std::size_t i) {
+        if (allocation[i] == 0) return;
+        results[i] =
+            runLocalSessionShared(state, registry, constraints[i],
+                                  candidates[i], allocation[i], streams[i]);
+      });
+    } else {
+      // Split: crop + copy each partition (sequential master work).
+      const par::WallTimer splitTimer;
+      std::vector<SubState> subs;
+      std::vector<std::size_t> active;
+      subs.reserve(partitions.size());
+      for (std::size_t i = 0; i < partitions.size(); ++i) {
+        if (allocation[i] == 0) continue;
+        subs.push_back(buildSubState(
+            state,
+            partition::roundToPixels(partitions[i],
+                                     static_cast<int>(state.bounds().x1),
+                                     static_cast<int>(state.bounds().y1)),
+            margin));
+        active.push_back(i);
       }
-      case LocalExecutor::InPlacePool: {
-        pool->parallelFor(partitions.size(), [&](std::size_t i) {
-          if (allocation[i] == 0) return;
-          results[i] =
-              runLocalSessionShared(state, registry, constraints[i],
-                                    candidates[i], allocation[i], streams[i]);
-        });
-        break;
-      }
-      case LocalExecutor::InPlaceOmp: {
-        par::ompParallelFor(
-            partitions.size(),
-            [&](std::size_t i) {
-              if (allocation[i] == 0) return;
-              results[i] = runLocalSessionShared(state, registry,
-                                                 constraints[i], candidates[i],
-                                                 allocation[i], streams[i]);
-            },
-            params.threads);
-        break;
-      }
-      case LocalExecutor::SplitMergeSerial:
-      case LocalExecutor::SplitMergePool: {
-        // Split: crop + copy each partition (sequential master work).
-        const par::WallTimer splitTimer;
-        std::vector<SubState> subs;
-        std::vector<std::size_t> active;
-        subs.reserve(partitions.size());
-        for (std::size_t i = 0; i < partitions.size(); ++i) {
-          if (allocation[i] == 0) continue;
-          subs.push_back(buildSubState(
-              state,
-              partition::roundToPixels(partitions[i],
-                                       static_cast<int>(state.bounds().x1),
-                                       static_cast<int>(state.bounds().y1)),
-              margin));
-          active.push_back(i);
-        }
-        const double splitSeconds = splitTimer.seconds();
+      const double splitSeconds = splitTimer.seconds();
 
-        if (params.executor == LocalExecutor::SplitMergePool) {
-          pool->parallelFor(subs.size(), [&](std::size_t k) {
-            results[active[k]] = runLocalSessionSub(
-                subs[k], registry, allocation[active[k]], streams[active[k]]);
-          });
-        } else {
-          for (std::size_t k = 0; k < subs.size(); ++k) {
-            results[active[k]] = runLocalSessionSub(
-                subs[k], registry, allocation[active[k]], streams[active[k]]);
-          }
-        }
+      par::forEachIndex(pool, subs.size(), [&](std::size_t k) {
+        results[active[k]] = runLocalSessionSub(
+            subs[k], registry, allocation[active[k]], streams[active[k]]);
+      });
 
-        // Merge back (sequential master work).
-        const par::WallTimer mergeTimer;
-        for (SubState& sub : subs) mergeSubState(state, sub);
-        splitMergeOverhead = splitSeconds + mergeTimer.seconds();
-        break;
-      }
+      // Merge back (sequential master work).
+      const par::WallTimer mergeTimer;
+      for (SubState& sub : subs) mergeSubState(state, sub);
+      splitMergeOverhead = splitSeconds + mergeTimer.seconds();
     }
 
     // Fold worker deltas (shared-state sessions only; split/merge folded
     // through mergeSubState already).
-    const bool sharedState = params.executor == LocalExecutor::Serial ||
-                             params.executor == LocalExecutor::InPlacePool ||
-                             params.executor == LocalExecutor::InPlaceOmp;
+    const bool sharedState = params.executor == LocalExecutor::InPlace;
     std::vector<double> taskSeconds;
     taskSeconds.reserve(results.size());
     for (SessionResult& r : results) {
@@ -393,8 +350,8 @@ struct PeriodicSampler::Impl {
 PeriodicSampler::PeriodicSampler(model::ModelState& state,
                                  const mcmc::MoveRegistry& registry,
                                  const PeriodicParams& params,
-                                 std::uint64_t seed)
-    : impl_(std::make_unique<Impl>(state, registry, params, seed)) {}
+                                 std::uint64_t seed, par::ThreadPool* pool)
+    : impl_(std::make_unique<Impl>(state, registry, params, seed, pool)) {}
 
 PeriodicSampler::~PeriodicSampler() = default;
 

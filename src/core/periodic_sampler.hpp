@@ -12,25 +12,17 @@
 
 namespace mcmcpar::core {
 
-/// How the local (Ml) phases execute their partitions.
+/// How the local (Ml) phases execute their partitions. Whether sessions run
+/// concurrently is not a choice of executor: they run on the sampler's pool
+/// when it has one and one after another on the calling thread when not.
 enum class LocalExecutor : std::uint8_t {
-  /// One after another on the calling thread. Reference semantics; also the
-  /// basis for virtual-time accounting (per-partition costs are measured
-  /// undisturbed).
-  Serial,
-  /// Shared-memory concurrency on the library ThreadPool; workers mutate the
-  /// shared state under the legality margin (docs/ARCHITECTURE.md,
-  /// "Periodic in-place execution") and accumulate scalar deltas
-  /// thread-locally.
-  InPlacePool,
-  /// As InPlacePool but on OpenMP threads.
-  InPlaceOmp,
-  /// Deep-copied sub-states (crop + copy, run, merge back) executed
-  /// serially: the faithful "duplicate ... and merge" path of §VII whose
-  /// overhead Fig. 2 measures; required for virtual-time cluster modelling.
-  SplitMergeSerial,
-  /// Sub-states executed on the ThreadPool.
-  SplitMergePool,
+  /// Sessions mutate the shared state in place under the legality margin
+  /// (docs/ARCHITECTURE.md, "Periodic in-place execution") and accumulate
+  /// scalar deltas locally.
+  InPlace,
+  /// Deep-copied sub-states (crop + copy, run, merge back): the faithful
+  /// "duplicate ... and merge" path of §VII whose overhead Fig. 2 measures.
+  SplitMerge,
 };
 
 /// How partitions are laid out each local phase.
@@ -53,16 +45,15 @@ struct PeriodicParams {
   double gridSpacingX = 0.0;  ///< UniformGrid spacing (0 = half the domain)
   double gridSpacingY = 0.0;
 
-  /// Legality margin; negative = automatic (safety margin for in-place
-  /// executors, 0 for split/merge, 0 for serial).
+  /// Legality margin; negative = automatic: the in-place safety margin when
+  /// in-place sessions run concurrently on a pool, 0 otherwise.
   double margin = -1.0;
 
-  LocalExecutor executor = LocalExecutor::Serial;
-  unsigned threads = 0;  ///< real worker threads (0 = hardware)
+  LocalExecutor executor = LocalExecutor::InPlace;
 
   /// When > 0, also account a virtual wall clock for an SMP with this many
-  /// threads (requires a serial executor so per-partition costs can be
-  /// measured; see docs/ARCHITECTURE.md, "Substitutions for the paper's
+  /// threads (run without a pool so per-partition costs are measured
+  /// undisturbed; see docs/ARCHITECTURE.md, "Substitutions for the paper's
   /// testbed"). Adds makespan(partition costs) per local phase plus the
   /// measured split/merge overhead.
   unsigned virtualThreads = 0;
@@ -119,8 +110,12 @@ struct PeriodicReport {
 /// iterations to partitions in proportion to their modifiable features.
 class PeriodicSampler {
  public:
+  /// `pool` (borrowed, may be null) runs the partition sessions of each
+  /// local phase and the speculative lanes of the global phases; null runs
+  /// everything on the calling thread.
   PeriodicSampler(model::ModelState& state, const mcmc::MoveRegistry& registry,
-                  const PeriodicParams& params, std::uint64_t seed);
+                  const PeriodicParams& params, std::uint64_t seed,
+                  par::ThreadPool* pool = nullptr);
   ~PeriodicSampler();
 
   PeriodicSampler(const PeriodicSampler&) = delete;

@@ -155,11 +155,7 @@ std::vector<std::vector<model::Circle>> runPartitions(
     const std::lock_guard lock(hookMutex);
     hooks.progress(++finished, n, "partition");
   };
-  if (pool != nullptr) {
-    pool->parallelFor(n, body);
-  } else {
-    for (std::size_t k = 0; k < n; ++k) body(k);
-  }
+  par::forEachIndex(pool, n, body);
   // Cancellation is sticky, so one poll also catches a run that truncated
   // the last partition's sampler.
   report.cancelled = shared.cancelled();

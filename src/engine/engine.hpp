@@ -63,7 +63,9 @@ struct Problem {
 /// `threads`/`seed` knobs live, replacing the per-strategy copies.
 struct ExecResources {
   unsigned threads = 0;  ///< worker threads (0 = hardware, via par::resolveThreadCount)
-  bool useOpenMp = false;  ///< prefer OpenMP over the library ThreadPool
+  /// Has no effect: every strategy runs on the library ThreadPool. Kept only
+  /// so existing `ExecResources{threads, false, seed}` initialisers compile.
+  bool useOpenMp = false;
   std::uint64_t seed = 1;
 
   /// When set (borrowed, e.g. by BatchRunner), strategies resolve `threads`

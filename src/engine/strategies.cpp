@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "engine/registry.hpp"
 #include "mcmc/convergence.hpp"
@@ -57,12 +56,27 @@ class StrategyBase : public Strategy {
     }
   }
 
-  /// Resolve the `threads` knob for this run: against the whole machine
-  /// when standalone, against the shared budget when running inside a
-  /// batch. Held for the duration of run() so concurrent jobs see the
-  /// reduced availability.
-  [[nodiscard]] par::PoolLease leaseThreads() const {
-    return par::PoolLease::acquire(resources_.poolBudget, resources_.threads);
+  /// The threads one run may use. `lease` resolves the `threads` knob
+  /// against the whole machine when standalone, against the shared budget
+  /// inside a batch, and is held for the whole run so concurrent jobs see
+  /// the reduced availability. `pool` has `lease - 1` workers, because
+  /// parallelFor also runs tasks on the calling (already leased) thread;
+  /// it is null for a single-thread lease. The default value is the
+  /// single-thread executor.
+  struct Executor {
+    par::PoolLease lease;
+    std::unique_ptr<par::ThreadPool> pool;
+  };
+
+  /// Every parallel strategy gets its threads here and nowhere else.
+  [[nodiscard]] Executor leaseExecutor() const {
+    Executor executor{
+        par::PoolLease::acquire(resources_.poolBudget, resources_.threads),
+        nullptr};
+    if (executor.lease.threads() > 1) {
+      executor.pool = par::makeThreadPool(executor.lease.threads() - 1);
+    }
+    return executor;
   }
 
   [[nodiscard]] std::size_t initialCircleCount() const {
@@ -184,15 +198,10 @@ class SpeculativeStrategy final : public StrategyBase {
     rng::Stream stream(resources_.seed);
     model::ModelState state = makeState(stream);
 
-    const par::PoolLease lease = leaseThreads();
-    const unsigned workers = lease.threads();
-    std::unique_ptr<par::ThreadPool> pool;
-    // parallelFor also drains lanes on this (already-leased) thread, so the
-    // pool itself is one smaller than the lease: pool + caller == workers.
-    if (workers > 1 && lanes_ > 1) pool = par::makeThreadPool(workers - 1);
+    const Executor threads = leaseExecutor();
     spec::SpeculativeExecutor executor(state, registry_, lanes_,
                                        stream.derive(0x5BEC).bits(),
-                                       pool.get());
+                                       threads.pool.get());
 
     // The executor has no internal trace; run in trace-sized chunks and
     // record the posterior between them.
@@ -233,7 +242,7 @@ class SpeculativeStrategy final : public StrategyBase {
     report.circles = state.config().snapshot();
     report.logPosterior = state.logPosterior();
     report.diagnostics = executor.diagnostics();
-    report.threadsUsed = pool ? std::min(workers, lanes_) : 1;
+    report.threadsUsed = std::min(threads.lease.threads(), lanes_);
     report.extras = executor.stats();
     finaliseCommon(report);
     return report;
@@ -268,12 +277,6 @@ class Mc3Strategy final : public StrategyBase {
     params_.chains = options.uns("chains", 4);
     params_.heatStep = options.dbl("heat-step", 0.2);
     params_.swapInterval = options.u64("swap-interval", 100);
-    // The parallel-chains default depends on how many threads this run is
-    // actually granted, which under a shared budget is only known inside
-    // run(); remember whether the user forced it either way.
-    if (options.has("parallel")) {
-      parallelOverride_ = options.flag("parallel", false);
-    }
     if (params_.chains == 0) {
       throw EngineError("strategy '" + name_ + "': chains must be >= 1");
     }
@@ -285,17 +288,10 @@ class Mc3Strategy final : public StrategyBase {
 
   RunReport run(const RunBudget& budget, const RunHooks& hooks) override {
     requirePrepared();
-    const par::PoolLease lease = leaseThreads();
-    mcmc::Mc3Params params = params_;
-    params.parallelChains = parallelOverride_.value_or(lease.threads() > 1);
-    // The driver's chain-stepping parallelFor also runs on this thread, so
-    // its pool must be one smaller than the lease: pool + caller == lease.
-    params.threads = params.parallelChains && lease.threads() > 1
-                         ? lease.threads() - 1
-                         : lease.threads();
+    const Executor threads = leaseExecutor();
     mcmc::Mc3Sampler sampler(*problem_.filtered, prior_, problem_.likelihood,
-                             registry_, params, initialCircleCount(),
-                             resources_.seed);
+                             registry_, params_, initialCircleCount(),
+                             resources_.seed, threads.pool.get());
 
     const par::WallTimer timer;
     const std::uint64_t done =
@@ -308,9 +304,7 @@ class Mc3Strategy final : public StrategyBase {
     report.circles = sampler.coldChain().config().snapshot();
     report.logPosterior = sampler.coldChain().logPosterior();
     report.diagnostics = sampler.coldDiagnostics();
-    report.threadsUsed = params.parallelChains && params.chains > 1
-                             ? std::min(lease.threads(), params.chains)
-                             : 1;
+    report.threadsUsed = std::min(threads.lease.threads(), params_.chains);
     report.extras = sampler.stats();
     finaliseCommon(report);
     return report;
@@ -318,7 +312,6 @@ class Mc3Strategy final : public StrategyBase {
 
  private:
   mcmc::Mc3Params params_;
-  std::optional<bool> parallelOverride_;
 };
 
 // --------------------------------------------------------------------------
@@ -334,7 +327,6 @@ class PeriodicStrategy final : public StrategyBase {
     params_.specLanesGlobal = options.uns("spec-lanes", 1);
     params_.virtualThreads = options.uns("virtual-threads", 0);
     params_.resyncPhaseInterval = options.u64("resync", 64);
-    // params_.threads is set in run() from the lease, not here.
 
     const std::string layout = options.str("layout", "cross");
     if (layout == "cross") {
@@ -348,26 +340,15 @@ class PeriodicStrategy final : public StrategyBase {
                         "'cross' or 'grid', got '" + layout + "'");
     }
 
-    const std::string executor = options.str("executor", "auto");
-    if (executor == "auto") {
-      // Resolved in run(): the serial/pool choice depends on how many
-      // threads the lease actually grants.
-      autoExecutor_ = true;
-    } else if (executor == "serial") {
-      params_.executor = core::LocalExecutor::Serial;
-    } else if (executor == "pool") {
-      params_.executor = core::LocalExecutor::InPlacePool;
-    } else if (executor == "omp") {
-      params_.executor = core::LocalExecutor::InPlaceOmp;
-    } else if (executor == "split-serial") {
-      params_.executor = core::LocalExecutor::SplitMergeSerial;
-    } else if (executor == "split-pool") {
-      params_.executor = core::LocalExecutor::SplitMergePool;
+    const std::string executor = options.str("executor", "in-place");
+    if (executor == "in-place") {
+      params_.executor = core::LocalExecutor::InPlace;
+    } else if (executor == "split-merge") {
+      params_.executor = core::LocalExecutor::SplitMerge;
     } else {
-      throw EngineError(
-          "strategy '" + name_ + "': executor must be one of " +
-          "'auto', 'serial', 'pool', 'omp', 'split-serial', 'split-pool', " +
-          "got '" + executor + "'");
+      throw EngineError("strategy '" + name_ + "': executor must be " +
+                        "'in-place' or 'split-merge', got '" + executor +
+                        "'");
     }
   }
 
@@ -376,30 +357,17 @@ class PeriodicStrategy final : public StrategyBase {
     rng::Stream stream(resources_.seed);
     model::ModelState state = makeState(stream);
 
-    const par::PoolLease lease = leaseThreads();
+    // Virtual-time accounting measures each partition's cost undisturbed,
+    // so it runs the sessions one at a time on this thread.
+    const Executor threads =
+        params_.virtualThreads > 0 ? Executor{} : leaseExecutor();
     core::PeriodicParams params = params_;
-    params.threads = lease.threads();
-    if (autoExecutor_) {
-      if (resources_.useOpenMp) {
-        params.executor = core::LocalExecutor::InPlaceOmp;
-      } else if (lease.threads() > 1) {
-        params.executor = core::LocalExecutor::InPlacePool;
-      } else {
-        params.executor = core::LocalExecutor::Serial;
-      }
-    }
-    // ThreadPool executors drain parallelFor on this thread too, so their
-    // pool is one smaller than the lease; an OpenMP team already counts the
-    // caller as its master thread.
-    const bool poolExecutor =
-        params.executor == core::LocalExecutor::InPlacePool ||
-        params.executor == core::LocalExecutor::SplitMergePool;
-    if (poolExecutor && params.threads > 1) --params.threads;
     params.totalIterations = budget.iterations;
     params.traceInterval = traceEvery(budget);
 
     const par::WallTimer timer;
-    core::PeriodicSampler sampler(state, registry_, params, resources_.seed);
+    core::PeriodicSampler sampler(state, registry_, params, resources_.seed,
+                                  threads.pool.get());
     core::PeriodicReport periodic = sampler.run(hooks);
 
     RunReport report = baseReport();
@@ -409,16 +377,7 @@ class PeriodicStrategy final : public StrategyBase {
     report.circles = state.config().snapshot();
     report.logPosterior = state.logPosterior();
     report.diagnostics = periodic.diagnostics;
-    switch (params.executor) {
-      case core::LocalExecutor::InPlacePool:
-      case core::LocalExecutor::InPlaceOmp:
-      case core::LocalExecutor::SplitMergePool:
-        report.threadsUsed = lease.threads();
-        break;
-      default:
-        report.threadsUsed = 1;
-        break;
-    }
+    report.threadsUsed = threads.lease.threads();
     // Last read of `periodic` above — avoid copying its trace/diagnostics.
     report.extras = std::move(periodic);
     finaliseCommon(report);
@@ -427,7 +386,6 @@ class PeriodicStrategy final : public StrategyBase {
 
  private:
   core::PeriodicParams params_;
-  bool autoExecutor_ = false;
 };
 
 // --------------------------------------------------------------------------
@@ -464,25 +422,21 @@ class PipelineStrategy final : public StrategyBase {
     params.intelligent.theta = problem_.theta;
     params.seed = resources_.seed;
     params.iterationsCap = budget.iterations;
-    const par::PoolLease lease = leaseThreads();
-    params.loadBalancedThreads = lease.threads();
-    // parallelFor also drains partitions on this (already-leased) thread,
-    // so the pool is one smaller than the lease: pool + caller == lease.
-    std::unique_ptr<par::ThreadPool> pool;
-    if (lease.threads() > 1) pool = par::makeThreadPool(lease.threads() - 1);
+    const Executor threads = leaseExecutor();
+    params.loadBalancedThreads = threads.lease.threads();
 
     const par::WallTimer timer;
     core::PipelineReport pipeline =
         blind_ ? core::runBlindPipeline(*problem_.filtered, params, hooks,
-                                        pool.get())
+                                        threads.pool.get())
                : core::runIntelligentPipeline(*problem_.filtered, params,
-                                              hooks, pool.get());
+                                              hooks, threads.pool.get());
 
     RunReport report = baseReport();
     report.wallSeconds = timer.seconds();
     report.cancelled = pipeline.cancelled;
     report.circles = pipeline.merged;
-    report.threadsUsed = lease.threads();
+    report.threadsUsed = threads.lease.threads();
     for (const core::PartitionRun& partition : pipeline.partitions) {
       report.iterations += partition.iterations;
       report.diagnostics.merge(partition.diagnostics);
@@ -531,15 +485,15 @@ const StrategyRegistry& StrategyRegistry::builtin() {
                                                            opts);
             }});
     r->add({"mc3", "§IV", "Metropolis-coupled MCMC (heated chains + swaps)",
-            "Mc3Stats", "chains=N heat-step=X swap-interval=N parallel=B",
+            "Mc3Stats", "chains=N heat-step=X swap-interval=N",
             [](const ExecResources& res, const OptionMap& opts) {
               return std::make_unique<Mc3Strategy>("mc3", res, opts);
             }});
     r->add({"periodic", "§V-VII",
             "periodic partitioning (global/local phases)", "PeriodicReport",
-            "phase=N executor=auto|serial|pool|omp|split-serial|split-pool "
-            "layout=cross|grid margin=X spec-lanes=N virtual-threads=N "
-            "resync=N grid-x=X grid-y=X",
+            "phase=N executor=in-place|split-merge layout=cross|grid "
+            "margin=X spec-lanes=N virtual-threads=N resync=N grid-x=X "
+            "grid-y=X",
             [](const ExecResources& res, const OptionMap& opts) {
               return std::make_unique<PeriodicStrategy>("periodic", res, opts);
             }});

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "par/concurrency.hpp"
-
 namespace mcmcpar::mcmc {
 
 bool temperedStep(model::ModelState& state, const MoveRegistry& registry,
@@ -31,13 +29,17 @@ struct Mc3Sampler::Impl {
   Diagnostics coldDiagnostics;
   Mc3Stats stats;
   rng::Stream swapStream;
-  std::unique_ptr<par::ThreadPool> pool;
+  par::ThreadPool* pool;
   std::uint64_t nextTrace = 0;
 
   Impl(const img::ImageF& filtered, const model::PriorParams& prior,
        const model::LikelihoodParams& likelihood, const MoveRegistry& reg,
-       const Mc3Params& p, std::size_t initialCircles, std::uint64_t seed)
-      : registry(reg), params(p), swapStream(rng::Stream(seed).derive(0xABBA)) {
+       const Mc3Params& p, std::size_t initialCircles, std::uint64_t seed,
+       par::ThreadPool* tp)
+      : registry(reg),
+        params(p),
+        swapStream(rng::Stream(seed).derive(0xABBA)),
+        pool(tp) {
     params.chains = std::max(params.chains, 1u);
     // A zero interval would make run()'s step = min(0, remaining) spin.
     params.swapInterval = std::max<std::uint64_t>(params.swapInterval, 1);
@@ -49,9 +51,6 @@ struct Mc3Sampler::Impl {
       chains.back()->initialiseRandom(initialCircles, streams.back());
       betas.push_back(1.0 / (1.0 + k * params.heatStep));
     }
-    if (params.parallelChains && params.chains > 1) {
-      pool = par::makeThreadPool(params.threads);
-    }
   }
 
   void stepInterval(std::uint64_t iters) {
@@ -61,11 +60,7 @@ struct Mc3Sampler::Impl {
         temperedStep(*chains[k], registry, betas[k], streams[k], diag);
       }
     };
-    if (pool) {
-      pool->parallelFor(chains.size(), body);
-    } else {
-      for (std::size_t k = 0; k < chains.size(); ++k) body(k);
-    }
+    par::forEachIndex(chains.size() > 1 ? pool : nullptr, chains.size(), body);
   }
 
   void trySwap() {
@@ -118,9 +113,10 @@ Mc3Sampler::Mc3Sampler(const img::ImageF& filtered,
                        const model::PriorParams& prior,
                        const model::LikelihoodParams& likelihood,
                        const MoveRegistry& registry, const Mc3Params& params,
-                       std::size_t initialCircles, std::uint64_t seed)
+                       std::size_t initialCircles, std::uint64_t seed,
+                       par::ThreadPool* pool)
     : impl_(std::make_unique<Impl>(filtered, prior, likelihood, registry,
-                                   params, initialCircles, seed)) {}
+                                   params, initialCircles, seed, pool)) {}
 
 Mc3Sampler::~Mc3Sampler() = default;
 

@@ -26,11 +26,6 @@ struct Mc3Params {
   /// Every `swapInterval` per-chain iterations, one random adjacent pair is
   /// proposed for a state swap under the modified MH test.
   std::uint64_t swapInterval = 100;
-
-  /// Step the chains of an interval concurrently on a thread pool (chains
-  /// are independent between swaps, so this is exact task parallelism).
-  bool parallelChains = false;
-  unsigned threads = 0;
 };
 
 /// Swap bookkeeping.
@@ -62,11 +57,15 @@ struct Mc3Stats {
 class Mc3Sampler {
  public:
   /// Every chain gets its own ModelState initialised with `initialCircles`
-  /// random circles from its own substream.
+  /// random circles from its own substream. `pool` (borrowed, may be null)
+  /// steps the chains of an interval concurrently: chains are independent
+  /// between swaps, so this is exact task parallelism and the run is
+  /// bit-identical to the null-pool run on the calling thread.
   Mc3Sampler(const img::ImageF& filtered, const model::PriorParams& prior,
              const model::LikelihoodParams& likelihood,
              const MoveRegistry& registry, const Mc3Params& params,
-             std::size_t initialCircles, std::uint64_t seed);
+             std::size_t initialCircles, std::uint64_t seed,
+             par::ThreadPool* pool = nullptr);
   ~Mc3Sampler();
 
   Mc3Sampler(const Mc3Sampler&) = delete;

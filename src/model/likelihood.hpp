@@ -39,7 +39,7 @@ struct LikelihoodParams {
 /// Hot path: every method walks the disc as contiguous row spans
 /// (img::forEachDiscSpan) and sums each span with the vectorised kernels in
 /// model/likelihood_kernels.hpp. The kernels' fixed-lane accumulation makes
-/// every delta bit-reproducible across backends (scalar/omp-simd/AVX2) and
+/// every delta bit-reproducible across backends (scalar/AVX2) and
 /// machines — see the determinism policy in that header.
 class PixelLikelihood {
  public:

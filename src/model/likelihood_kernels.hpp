@@ -21,7 +21,7 @@ namespace mcmcpar::model::kernels {
 ///    double accumulators — element i of a span goes to lane (i % kLanes),
 ///    floats are widened to double (exact) before the add — and the lanes are
 ///    combined in the fixed order ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
-///  * Every backend (plain scalar, `#pragma omp simd`, AVX2 intrinsics)
+///  * Every backend (plain scalar loops, AVX2 intrinsics)
 ///    implements EXACTLY this arithmetic, so results are bit-identical across
 ///    backends and across machines by construction; vectorisation never needs
 ///    to be gated for reproducibility. test_likelihood_kernels asserts the
@@ -33,7 +33,7 @@ inline constexpr std::size_t kLanes = 8;
 
 /// Which implementation the span kernels dispatch to.
 enum class Backend {
-  Scalar,  ///< portable loops (auto/omp-simd vectorised when available)
+  Scalar,  ///< portable loops (auto-vectorised by the compiler)
   Avx2,    ///< AVX2 intrinsics (x86-64, compiled in and CPU-supported only)
 };
 
@@ -83,7 +83,7 @@ double spanApplyRemove(const float* gain, std::uint16_t* cov,
 /// Joint coverage-transition delta for multi-disc moves: pixel i currently
 /// has count cov[i], loses dOld[i] discs and gains dNew[i]; the result sums
 /// +gain where the pixel becomes covered and -gain where it becomes bare.
-/// Scalar/omp-simd only (split/merge moves are far off the hot path).
+/// Scalar only (split/merge moves are far off the hot path).
 [[nodiscard]] double spanTransitionDelta(const float* gain,
                                          const std::uint16_t* cov,
                                          const std::int16_t* dOld,

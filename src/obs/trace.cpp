@@ -5,8 +5,6 @@
 
 namespace mcmcpar::obs {
 
-namespace {
-
 std::string jsonEscape(const std::string& text) {
   std::string out;
   out.reserve(text.size() + 8);
@@ -40,6 +38,8 @@ std::string jsonEscape(const std::string& text) {
   }
   return out;
 }
+
+namespace {
 
 std::string fmtMicros(double micros) {
   char buffer[64];

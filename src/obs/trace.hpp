@@ -27,6 +27,10 @@
 
 namespace mcmcpar::obs {
 
+/// JSON string escaping (quotes, backslashes, control characters): the one
+/// escaper of every JSON writer in the library.
+[[nodiscard]] std::string jsonEscape(const std::string& text);
+
 /// One key/value argument attached to a span (rendered as JSON strings).
 using TraceArgs = std::vector<std::pair<std::string, std::string>>;
 

@@ -14,9 +14,9 @@ class ThreadPool;
 /// this one function so the convention cannot drift between subsystems.
 [[nodiscard]] unsigned resolveThreadCount(unsigned requested) noexcept;
 
-/// Build a ThreadPool with `resolveThreadCount(requested)` workers — the
-/// shared "0 = hardware threads -> make pool" step previously re-implemented
-/// by the periodic sampler, (MC)^3 and the engine executors.
+/// Build a ThreadPool with `resolveThreadCount(requested)` workers. The
+/// engine builds each run's one pool through this (the strategies' shared
+/// lease-to-executor step); drivers only borrow a pool.
 [[nodiscard]] std::unique_ptr<ThreadPool> makeThreadPool(unsigned requested);
 
 class PoolLease;

@@ -47,6 +47,15 @@ void ThreadPool::wait() {
   allDone_.wait(lock, [this] { return inFlight_ == 0; });
 }
 
+void forEachIndex(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->parallelFor(n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
 void ThreadPool::parallelFor(std::size_t n,
                              const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;

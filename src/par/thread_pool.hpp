@@ -67,4 +67,10 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+/// Run fn(i) for every i in [0, n): through `pool->parallelFor` when a pool
+/// is given, else in index order on the calling thread. The one dispatch
+/// rule of every driver that takes a nullable pool.
+void forEachIndex(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& fn);
+
 }  // namespace mcmcpar::par

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "engine/engine.hpp"
+#include "obs/trace.hpp"
 #include "serve/job_queue.hpp"
 #include "serve/server.hpp"
 
@@ -27,8 +28,8 @@ inline constexpr const char* kErrQueueFull = "QUEUE_FULL";
 inline constexpr const char* kErrTooLarge = "TOO_LARGE";
 inline constexpr const char* kErrBadFrame = "BAD_FRAME";
 
-/// JSON string escaping (quotes, backslashes, control characters).
-[[nodiscard]] std::string jsonEscape(const std::string& text);
+/// JSON string escaping, shared with the tracer's writer.
+using obs::jsonEscape;
 
 /// One job's terminal outcome as single-line JSON — the RESULT payload and
 /// one element of a watch-mode result file.

@@ -411,7 +411,6 @@ engine::RunReport Server::runSequenceJob(std::uint64_t id,
 
   engine::ExecResources resources;
   resources.threads = options_.threads;
-  resources.useOpenMp = options_.useOpenMp;
   resources.poolBudget = &budget_;
   resources.seed =
       spec.seed ? *spec.seed : engine::deriveJobSeed(options_.seed, id);
@@ -508,8 +507,7 @@ void Server::workerLoop(const std::stop_token& stop) {
 
         engine::ExecResources resources;
         resources.threads = options_.threads;
-        resources.useOpenMp = options_.useOpenMp;
-        resources.poolBudget = &budget_;
+              resources.poolBudget = &budget_;
         resources.seed = engine::deriveJobSeed(options_.seed, id);
 
         engine::RunHooks hooks;

@@ -48,11 +48,7 @@ std::uint64_t SpeculativeExecutor::round(MovePhase phase,
     l.pending = l.move->propose(state_, ctx, l.stream);
   };
 
-  if (pool_ != nullptr && lanes_ > 1) {
-    pool_->parallelFor(lanes_, evaluate);
-  } else {
-    for (unsigned k = 0; k < lanes_; ++k) evaluate(k);
-  }
+  par::forEachIndex(lanes_ > 1 ? pool_ : nullptr, lanes_, evaluate);
 
   // Sequential commit scan: the first accepted lane ends the round.
   std::uint64_t consumed = lanes_;

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <system_error>
+#include <thread>
 
 #include "engine/registry.hpp"
 #include "img/synth.hpp"
@@ -131,6 +135,17 @@ TEST(StrategyRegistry, UnknownAndMalformedOptionsAreDescriptiveErrors) {
                EngineError);
   EXPECT_THROW((void)registry.create("periodic", {}, {"executor=warp"}),
                EngineError);
+  // Threads come from the lease, not from strategy options: periodic has
+  // only the in-place and split-merge executors, and mc3 no parallel= knob.
+  for (const char* executor : {"executor=auto", "executor=serial",
+                               "executor=pool", "executor=omp",
+                               "executor=split-serial",
+                               "executor=split-pool"}) {
+    EXPECT_THROW((void)registry.create("periodic", {}, {executor}),
+                 EngineError)
+        << executor;
+  }
+  EXPECT_THROW((void)registry.create("mc3", {}, {"parallel=1"}), EngineError);
 }
 
 TEST(StrategyRegistry, RunBeforePrepareIsAnError) {
@@ -245,13 +260,13 @@ TEST(RunHooks, ProgressAndTraceObserversFire) {
 
 // Cancellation must stop within one polling quantum and still return a
 // consistent partial report — for the serial baseline and for a parallel
-// strategy (periodic partitioning with its pool executor).
+// strategy (periodic partitioning on its leased pool).
 class CancellationTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CancellationTest, MidRunCancellationYieldsConsistentPartialReport) {
   const img::Scene scene = tinyScene(16);
   const Problem problem = tinyProblem(scene);
-  // threads=2 exercises the pooled local executor for "periodic".
+  // threads=2 runs the partition sessions of "periodic" on a pool.
   const Engine engine(ExecResources{2, false, 9});
 
   // Allow a handful of polls, then request cancellation forever after.
@@ -274,6 +289,114 @@ TEST_P(CancellationTest, MidRunCancellationYieldsConsistentPartialReport) {
 INSTANTIATE_TEST_SUITE_P(SerialAndParallel, CancellationTest,
                          ::testing::Values("serial", "periodic", "mc3",
                                            "blind"));
+
+// ---------------------------------------------------------------------------
+// One executor per run: every parallel strategy runs on one pool built from
+// its lease.
+// ---------------------------------------------------------------------------
+
+struct LeasedRun {
+  const char* strategy;
+  std::vector<std::string> options;
+};
+
+const std::vector<LeasedRun>& parallelStrategies() {
+  static const std::vector<LeasedRun> runs = {
+      {"speculative", {}},
+      {"mc3", {}},
+      {"periodic", {"executor=in-place"}},
+      {"periodic", {"executor=split-merge"}},
+      {"intelligent", {}},
+      {"blind", {}},
+  };
+  return runs;
+}
+
+/// Threads of this process (one entry per task), or 0 when the platform
+/// has no /proc/self/task.
+std::size_t liveThreads() {
+  std::error_code error;
+  std::filesystem::directory_iterator it("/proc/self/task", error);
+  std::size_t count = 0;
+  for (; !error && it != std::filesystem::directory_iterator();
+       it.increment(error)) {
+    ++count;
+  }
+  return error ? 0 : count;
+}
+
+TEST(OneExecutorPerRun, NoStrategyRunsMoreThreadsThanItLeased) {
+  if (liveThreads() == 0) GTEST_SKIP() << "/proc/self/task is unavailable";
+  // Runtimes may start a helper thread with the process's first thread
+  // (ThreadSanitizer does); start one now so the baseline already counts it.
+  std::thread([] {}).join();
+  const img::Scene scene = tinyScene(18);
+  const Problem problem = tinyProblem(scene);
+
+  for (const unsigned threads : {1u, 2u}) {
+    for (const LeasedRun& run : parallelStrategies()) {
+      SCOPED_TRACE(std::string(run.strategy) + " " +
+                   (run.options.empty() ? "" : run.options[0]) +
+                   " threads=" + std::to_string(threads));
+      const std::size_t baseline = liveThreads();
+      std::atomic<std::size_t> peak{baseline};
+      std::atomic<int> beats{0};
+      RunHooks hooks;
+      // Pool workers live for the whole run, so every beat sees them all.
+      hooks.onProgress = [&](const RunProgress&) {
+        ++beats;
+        const std::size_t now = liveThreads();
+        std::size_t seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+      };
+      const Engine engine(ExecResources{.threads = threads, .seed = 5});
+      const RunReport report = engine.run(run.strategy, problem,
+                                          RunBudget{3000, 0}, hooks,
+                                          run.options);
+      ASSERT_GT(beats.load(), 0);
+      // The calling thread is one of the leased threads: workers = lease-1.
+      EXPECT_LE(peak.load() - baseline, threads - 1);
+      EXPECT_LE(report.threadsUsed, threads);
+      EXPECT_GE(report.threadsUsed, 1u);
+    }
+  }
+}
+
+TEST(OneExecutorPerRun, ResultsDoNotDependOnTheThreadCount) {
+  img::SceneSpec spec = img::cellScene(192, 192, 10, 8.0, 19);
+  spec.radiusStd = 0.5;
+  const img::Scene scene = img::generateScene(spec);
+  const Problem problem = tinyProblem(scene);
+
+  std::vector<std::pair<LeasedRun, std::vector<unsigned>>> cases;
+  for (const LeasedRun& run : parallelStrategies()) {
+    // The 1-thread in-place run uses margin 0 by design: its sessions run
+    // one at a time, so it needs no safety margin and samples differently.
+    const bool inPlace = !run.options.empty() &&
+                         run.options[0] == "executor=in-place";
+    cases.push_back(
+        {run, inPlace ? std::vector<unsigned>{2, 4}
+                      : std::vector<unsigned>{1, 2, 4}});
+  }
+  for (const auto& [run, threadCounts] : cases) {
+    const auto runAt = [&, &run = run](unsigned threads) {
+      const Engine engine(ExecResources{.threads = threads, .seed = 23});
+      return engine.run(run.strategy, problem, RunBudget{6000, 0}, {},
+                        run.options);
+    };
+    const RunReport reference = runAt(threadCounts.front());
+    for (std::size_t k = 1; k < threadCounts.size(); ++k) {
+      SCOPED_TRACE(std::string(run.strategy) + " " +
+                   (run.options.empty() ? "" : run.options[0]) +
+                   " threads=" + std::to_string(threadCounts[k]));
+      const RunReport report = runAt(threadCounts[k]);
+      EXPECT_EQ(report.circles, reference.circles);
+      EXPECT_EQ(report.logPosterior, reference.logPosterior);
+      EXPECT_EQ(report.iterations, reference.iterations);
+    }
+  }
+}
 
 TEST(RunHooks, ImmediateCancellationStillReturnsAReport) {
   const img::Scene scene = tinyScene(17);

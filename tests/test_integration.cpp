@@ -88,7 +88,7 @@ TEST(Integration, PeriodicMatchesSequentialQuality) {
     core::PeriodicParams params;
     params.totalIterations = 50000;
     params.globalPhaseIterations = 52;  // ~130 total per cycle at qg=0.4
-    params.executor = core::LocalExecutor::SplitMergeSerial;
+    params.executor = core::LocalExecutor::SplitMerge;
     core::PeriodicSampler sampler(state, registry, params, seed);
     sampler.run();
     return analysis::scoreCircles(state.config().snapshot(), truth, 6.0);
@@ -117,7 +117,7 @@ TEST(Integration, PeriodicLeavesNoBoundaryAnomalyExcess) {
   core::PeriodicParams params;
   params.totalIterations = 50000;
   params.globalPhaseIterations = 52;
-  params.executor = core::LocalExecutor::SplitMergeSerial;
+  params.executor = core::LocalExecutor::SplitMerge;
   core::PeriodicSampler sampler(state, registry, params, 77);
   sampler.run();
 
@@ -171,7 +171,6 @@ TEST(Integration, PeriodicFullyDeterministic) {
     core::PeriodicParams params;
     params.totalIterations = 12000;
     params.globalPhaseIterations = 40;
-    params.executor = core::LocalExecutor::Serial;
     core::PeriodicSampler sampler(state, registry, params, 85);
     sampler.run();
     return state.config().snapshot();

@@ -136,17 +136,15 @@ TEST(Mc3Sampler, SingleChainDegeneratesToPlainChain) {
 TEST(Mc3Sampler, ParallelChainsMatchSerialChains) {
   const img::Scene scene = testScene(15);
   const MoveRegistry registry = MoveRegistry::caseStudy();
-  Mc3Params serial;
-  serial.chains = 3;
-  serial.swapInterval = 100;
-  Mc3Params parallel = serial;
-  parallel.parallelChains = true;
-  parallel.threads = 2;
+  Mc3Params params;
+  params.chains = 3;
+  params.swapInterval = 100;
+  par::ThreadPool pool(2);
 
   Mc3Sampler a(scene.image, priorParams(), model::LikelihoodParams{},
-               registry, serial, 8, 17);
+               registry, params, 8, 17);
   Mc3Sampler b(scene.image, priorParams(), model::LikelihoodParams{},
-               registry, parallel, 8, 17);
+               registry, params, 8, 17, &pool);
   a.run(4000);
   b.run(4000);
   // Chains advance on their own substreams and swaps use a dedicated

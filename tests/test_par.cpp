@@ -7,12 +7,7 @@
 #include <thread>
 #include <vector>
 
-#if defined(MCMCPAR_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 #include "par/concurrency.hpp"
-#include "par/omp_support.hpp"
 #include "par/task_scheduler.hpp"
 #include "par/thread_pool.hpp"
 #include "par/virtual_clock.hpp"
@@ -305,42 +300,23 @@ TEST(WallTimer, NonNegativeElapsed) {
   EXPECT_GE(timer.seconds(), 0.0);
 }
 
-TEST(OmpSupport, ParallelForCoversIndices) {
+TEST(ForEachIndex, NullPoolRunsInIndexOrderOnTheCallingThread) {
+  std::vector<std::size_t> order;
+  const std::thread::id caller = std::this_thread::get_id();
+  forEachIndex(nullptr, 5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ForEachIndex, PoolCoversEveryIndexOnce) {
+  ThreadPool pool(2);
   std::vector<std::atomic<int>> hits(64);
-  ompParallelFor(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  forEachIndex(&pool, hits.size(),
+               [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
-
-TEST(OmpSupport, ReportsConfiguration) {
-#if defined(MCMCPAR_HAVE_OPENMP)
-  EXPECT_TRUE(ompAvailable());
-  EXPECT_GE(ompMaxThreads(), 1u);
-#else
-  EXPECT_FALSE(ompAvailable());
-  EXPECT_EQ(ompMaxThreads(), 1u);
-#endif
-}
-
-#if defined(MCMCPAR_HAVE_OPENMP)
-// The build claims OpenMP: ompAvailable() must agree, catching regressions
-// where the MCMCPAR_HAVE_OPENMP define silently drops out of the build and
-// LocalExecutor::InPlaceOmp degrades to serial.
-TEST(OmpSupport, BuildDefineImpliesRuntimeAvailability) {
-  EXPECT_TRUE(ompAvailable());
-}
-
-TEST(OmpSupport, ParallelForRunsInsideOmpRegion) {
-  // omp_get_level() > 0 inside the loop proves the pragma engaged instead
-  // of the serial fallback. (Unlike omp_in_parallel(), the level also
-  // counts regions the runtime made inactive, e.g. under OMP_THREAD_LIMIT=1
-  // on constrained machines.)
-  std::atomic<int> insideRegion{0};
-  ompParallelFor(
-      4, [&](std::size_t) { insideRegion.fetch_add(omp_get_level() > 0); },
-      2);
-  EXPECT_EQ(insideRegion.load(), 4);
-}
-#endif
 
 }  // namespace
 }  // namespace mcmcpar::par

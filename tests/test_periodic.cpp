@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "core/periodic_sampler.hpp"
 #include "img/synth.hpp"
+#include "partition/legality.hpp"
 
 namespace mcmcpar::core {
 namespace {
@@ -60,18 +62,55 @@ PeriodicParams baseParams(LocalExecutor executor) {
   p.totalIterations = 6000;
   p.globalPhaseIterations = 40;
   p.executor = executor;
-  p.threads = 2;
   return p;
 }
 
-class ExecutorSweep : public ::testing::TestWithParam<LocalExecutor> {};
+/// The sweep's sampler setups: an executor and the size of the pool that
+/// runs its sessions (0 = no pool, sessions run on the calling thread).
+enum class Setup : std::uint8_t {
+  InPlaceNoPool,
+  InPlacePool,
+  InPlaceWidePool,  ///< caller + 3 workers: every cross partition at once
+  SplitMergeNoPool,
+  SplitMergePool,
+};
+
+struct SetupParts {
+  LocalExecutor executor;
+  unsigned poolWorkers;
+};
+
+SetupParts parts(Setup setup) {
+  switch (setup) {
+    case Setup::InPlaceNoPool:
+      return {LocalExecutor::InPlace, 0};
+    case Setup::InPlacePool:
+      return {LocalExecutor::InPlace, 2};
+    case Setup::InPlaceWidePool:
+      return {LocalExecutor::InPlace, 3};
+    case Setup::SplitMergeNoPool:
+      return {LocalExecutor::SplitMerge, 0};
+    case Setup::SplitMergePool:
+      return {LocalExecutor::SplitMerge, 2};
+  }
+  return {LocalExecutor::InPlace, 0};
+}
+
+std::unique_ptr<par::ThreadPool> poolOf(unsigned workers) {
+  return workers == 0 ? nullptr : std::make_unique<par::ThreadPool>(workers);
+}
+
+class ExecutorSweep : public ::testing::TestWithParam<Setup> {};
 
 TEST_P(ExecutorSweep, RunsAndKeepsPosteriorCacheConsistent) {
   Fixture f(1);
-  PeriodicSampler sampler(f.state, f.registry, baseParams(GetParam()), 99);
+  const SetupParts setup = parts(GetParam());
+  const auto pool = poolOf(setup.poolWorkers);
+  PeriodicSampler sampler(f.state, f.registry, baseParams(setup.executor), 99,
+                          pool.get());
   const PeriodicReport report = sampler.run();
   EXPECT_GE(report.globalIterations + report.localIterations,
-            baseParams(GetParam()).totalIterations);
+            baseParams(setup.executor).totalIterations);
   EXPECT_GT(report.phases, 0u);
   // run() resynchronises; recompute must agree exactly after that.
   EXPECT_NEAR(f.state.logPosterior(), f.state.recomputeLogPosterior(), 1e-6);
@@ -82,9 +121,11 @@ TEST_P(ExecutorSweep, MoveMixMatchesQg) {
   // The in-place executors' safety margin needs partitions large enough to
   // leave modifiable circles; use a bigger scene.
   Fixture f(2, 384);
-  PeriodicParams params = baseParams(GetParam());
+  const SetupParts setup = parts(GetParam());
+  const auto pool = poolOf(setup.poolWorkers);
+  PeriodicParams params = baseParams(setup.executor);
   params.totalIterations = 20000;
-  PeriodicSampler sampler(f.state, f.registry, params, 100);
+  PeriodicSampler sampler(f.state, f.registry, params, 100, pool.get());
   const PeriodicReport report = sampler.run();
   const double qg =
       static_cast<double>(report.globalIterations) /
@@ -98,39 +139,51 @@ TEST_P(ExecutorSweep, MoveMixMatchesQg) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Executors, ExecutorSweep,
-                         ::testing::Values(LocalExecutor::Serial,
-                                           LocalExecutor::InPlacePool,
-                                           LocalExecutor::InPlaceOmp,
-                                           LocalExecutor::SplitMergeSerial,
-                                           LocalExecutor::SplitMergePool));
+                         ::testing::Values(Setup::InPlaceNoPool,
+                                           Setup::InPlacePool,
+                                           Setup::InPlaceWidePool,
+                                           Setup::SplitMergeNoPool,
+                                           Setup::SplitMergePool));
 
 TEST(PeriodicSampler, SerialAndPoolAgreeExactly) {
   // Partition sessions are independent (disjoint writes, pre-derived
-  // streams, thread-locally accumulated deltas), so the in-place pool must
-  // produce the same chain as the serial executor.
+  // streams, thread-locally accumulated deltas), so running them on a pool
+  // must produce the same chain as running them on the calling thread.
   Fixture a(3, 384), b(3, 384);
-  PeriodicParams ps = baseParams(LocalExecutor::Serial);
-  PeriodicParams pp = baseParams(LocalExecutor::InPlacePool);
-  ps.margin = pp.margin = 48.0;  // align the candidate sets
-  PeriodicSampler sa(a.state, a.registry, ps, 7);
-  PeriodicSampler sb(b.state, b.registry, pp, 7);
+  PeriodicParams params = baseParams(LocalExecutor::InPlace);
+  params.margin = 48.0;  // align the candidate sets
+  par::ThreadPool pool(2);
+  PeriodicSampler sa(a.state, a.registry, params, 7);
+  PeriodicSampler sb(b.state, b.registry, params, 7, &pool);
   sa.run();
   sb.run();
   EXPECT_EQ(a.state.config().size(), b.state.config().size());
   EXPECT_NEAR(a.state.logPosterior(), b.state.logPosterior(), 1e-6);
 }
 
-TEST(PeriodicSampler, SerialAndOmpAgreeExactly) {
-  Fixture a(4, 384), b(4, 384);
-  PeriodicParams ps = baseParams(LocalExecutor::Serial);
-  PeriodicParams po = baseParams(LocalExecutor::InPlaceOmp);
-  ps.margin = po.margin = 48.0;
-  PeriodicSampler sa(a.state, a.registry, ps, 8);
-  PeriodicSampler sb(b.state, b.registry, po, 8);
-  sa.run();
-  sb.run();
-  EXPECT_EQ(a.state.config().size(), b.state.config().size());
-  EXPECT_NEAR(a.state.logPosterior(), b.state.logPosterior(), 1e-6);
+TEST(PeriodicSampler, AutomaticMarginFollowsThePool) {
+  // Concurrent in-place sessions get the safety margin; the same sessions
+  // run one at a time get margin 0, the split/merge executor gets 0 either
+  // way. Equal automatic and explicit margins give bit-identical chains.
+  const auto finalLogP = [](LocalExecutor executor, double margin,
+                            par::ThreadPool* pool) {
+    Fixture f(12, 384);
+    PeriodicParams params = baseParams(executor);
+    params.margin = margin;
+    PeriodicSampler sampler(f.state, f.registry, params, 16, pool);
+    sampler.run();
+    return f.state.logPosterior();
+  };
+  Fixture probe(12, 384);
+  const double safety = partition::inPlaceSafetyMargin(probe.state);
+  ASSERT_GT(safety, 0.0);
+  par::ThreadPool pool(2);
+  EXPECT_EQ(finalLogP(LocalExecutor::InPlace, -1.0, &pool),
+            finalLogP(LocalExecutor::InPlace, safety, &pool));
+  EXPECT_EQ(finalLogP(LocalExecutor::InPlace, -1.0, nullptr),
+            finalLogP(LocalExecutor::InPlace, 0.0, nullptr));
+  EXPECT_EQ(finalLogP(LocalExecutor::SplitMerge, -1.0, &pool),
+            finalLogP(LocalExecutor::SplitMerge, 0.0, nullptr));
 }
 
 TEST(PeriodicSampler, SplitMergeStatisticallyMatchesSharedState) {
@@ -139,9 +192,9 @@ TEST(PeriodicSampler, SplitMergeStatisticallyMatchesSharedState) {
   // makes trajectories diverge chaotically; compare distribution-level
   // outcomes rather than bitwise state.
   Fixture a(5), b(5);
-  PeriodicParams ps = baseParams(LocalExecutor::Serial);
+  PeriodicParams ps = baseParams(LocalExecutor::InPlace);
   ps.margin = 0.0;  // align margins between the executors
-  PeriodicParams pm = baseParams(LocalExecutor::SplitMergeSerial);
+  PeriodicParams pm = baseParams(LocalExecutor::SplitMerge);
   pm.margin = 0.0;
   PeriodicSampler sa(a.state, a.registry, ps, 9);
   PeriodicSampler sb(b.state, b.registry, pm, 9);
@@ -158,7 +211,7 @@ TEST(PeriodicSampler, SplitMergeStatisticallyMatchesSharedState) {
 TEST(PeriodicSampler, ImprovesPosteriorLikeSequential) {
   Fixture f(6);
   const double before = f.state.logPosterior();
-  PeriodicParams params = baseParams(LocalExecutor::Serial);
+  PeriodicParams params = baseParams(LocalExecutor::InPlace);
   params.totalIterations = 15000;
   PeriodicSampler sampler(f.state, f.registry, params, 10);
   sampler.run();
@@ -167,7 +220,7 @@ TEST(PeriodicSampler, ImprovesPosteriorLikeSequential) {
 
 TEST(PeriodicSampler, UniformGridLayoutWorks) {
   Fixture f(7);
-  PeriodicParams params = baseParams(LocalExecutor::Serial);
+  PeriodicParams params = baseParams(LocalExecutor::InPlace);
   params.layout = PartitionLayout::UniformGrid;
   params.gridSpacingX = 96;
   params.gridSpacingY = 96;
@@ -179,7 +232,7 @@ TEST(PeriodicSampler, UniformGridLayoutWorks) {
 
 TEST(PeriodicSampler, VirtualClockChargesMakespan) {
   Fixture f(8);
-  PeriodicParams params = baseParams(LocalExecutor::Serial);
+  PeriodicParams params = baseParams(LocalExecutor::InPlace);
   params.virtualThreads = 4;
   PeriodicSampler sampler(f.state, f.registry, params, 12);
   const PeriodicReport report = sampler.run();
@@ -190,7 +243,7 @@ TEST(PeriodicSampler, VirtualClockChargesMakespan) {
 
 TEST(PeriodicSampler, SpeculativeGlobalPhasesPreserveChain) {
   Fixture f(9);
-  PeriodicParams params = baseParams(LocalExecutor::Serial);
+  PeriodicParams params = baseParams(LocalExecutor::InPlace);
   params.specLanesGlobal = 4;
   PeriodicSampler sampler(f.state, f.registry, params, 13);
   const PeriodicReport report = sampler.run();
@@ -200,7 +253,7 @@ TEST(PeriodicSampler, SpeculativeGlobalPhasesPreserveChain) {
 
 TEST(PeriodicSampler, TraceRecordedWhenRequested) {
   Fixture f(10);
-  PeriodicParams params = baseParams(LocalExecutor::Serial);
+  PeriodicParams params = baseParams(LocalExecutor::InPlace);
   params.traceInterval = 500;
   PeriodicSampler sampler(f.state, f.registry, params, 14);
   const PeriodicReport report = sampler.run();
@@ -210,7 +263,7 @@ TEST(PeriodicSampler, TraceRecordedWhenRequested) {
 TEST(PeriodicSampler, LocalMovesNeverChangeCount) {
   Fixture f(11);
   const std::size_t before = f.state.config().size();
-  PeriodicParams params = baseParams(LocalExecutor::Serial);
+  PeriodicParams params = baseParams(LocalExecutor::InPlace);
   params.globalPhaseIterations = 1;
   // One global move per phase: count changes only through those; verify the
   // local iterations never break the dimension bookkeeping by checking the

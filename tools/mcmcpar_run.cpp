@@ -7,7 +7,7 @@
 //   mcmcpar_run --strategy serial --iterations 20000
 //   mcmcpar_run --strategy all --iterations 5000 --width 192 --cells 10
 //   mcmcpar_run --strategy mc3 --opt chains=6 --opt swap-interval=50
-//   mcmcpar_run --strategy periodic --opt executor=split-serial --progress
+//   mcmcpar_run --strategy periodic --opt executor=split-merge --progress
 //   mcmcpar_run --batch jobs.txt --threads 8 --iterations 10000
 //   mcmcpar_run --shard 2x2 --strategy serial --image big.pgm --opt halo=16
 
@@ -71,7 +71,6 @@ void printUsage() {
       "  --trace N           trace cadence (default: ~200 points)\n"
       "  --seed N            master seed (default: 1)\n"
       "  --threads N         worker threads, 0 = hardware (default: 0)\n"
-      "  --omp               prefer OpenMP executors where available\n"
       "  --width N/--height N/--cells N/--radius X  synthetic scene shape\n"
       "  --image FILE.pgm    run on a PGM image instead of a synthetic scene\n"
       "  --shard KxL|auto    run through the 'sharded' coordinator: split the\n"
@@ -156,8 +155,6 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
       cli.list = true;
     } else if (std::strcmp(arg, "--progress") == 0) {
       cli.progress = true;
-    } else if (std::strcmp(arg, "--omp") == 0) {
-      cli.resources.useOpenMp = true;
     } else if (std::strcmp(arg, "--help") == 0) {
       cli.help = true;
       return cli;
@@ -398,6 +395,15 @@ int runBatch(const CliOptions& cli) {
       std::fprintf(stderr,
                    "%s: @image=inline is only valid on the socket "
                    "front-end, not in --batch manifests (job '%s')\n",
+                   cli.batchPath.c_str(), entry.image.c_str());
+      return 2;
+    }
+    if (!entry.sequence.empty()) {
+      // BatchRunner runs single-image jobs; dropping the directive would
+      // silently run a one-frame job in place of the sequence.
+      std::fprintf(stderr,
+                   "%s: @sequence jobs are not supported in --batch "
+                   "manifests (job '%s'); use --sequence or mcmcpar_serve\n",
                    cli.batchPath.c_str(), entry.image.c_str());
       return 2;
     }
