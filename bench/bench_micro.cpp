@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "core/split_merge.hpp"
 #include "img/disc_raster.hpp"
 #include "img/synth.hpp"
@@ -232,19 +234,142 @@ void BM_LikelihoodDeltaAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_LikelihoodDeltaAdd);
 
-void BM_LikelihoodDeltaReplace(benchmark::State& state) {
+// --- deltaReplace gate pair ----------------------------------------------
+// BM_LikelihoodDeltaReplaceTwoPass is the earlier deltaReplace algorithm,
+// copied here: two passes through forEachDiscSpan, each row cut by a fresh
+// discRowSpan of the other disc, every segment through the dispatched kernel.
+// BM_LikelihoodDeltaReplace runs PixelLikelihood::deltaReplace (each disc's
+// spans computed once, short segments summed inline) on the identical moves;
+// both return bit-identical deltas, so the ratio is pure algorithm.
+
+double twoPassDeltaReplace(const model::PixelLikelihood& lik,
+                           const model::Circle& oldC,
+                           const model::Circle& newC) {
+  const img::ImageF& gain = lik.gainRaster();
+  const img::Image<std::uint16_t>& cov = lik.coverageRaster();
+  const auto outsideCut = [&](int y, int x0, int x1, img::RowSpan cut,
+                              auto kernel) {
+    const bool haveCut = cut.x0 < cut.x1;
+    const int leftEnd = haveCut ? std::clamp(cut.x0, x0, x1) : x1;
+    const int rightBegin = haveCut ? std::clamp(cut.x1, x0, x1) : x1;
+    double delta = 0.0;
+    if (x0 < leftEnd) {
+      delta += kernel(gain.row(y) + x0, cov.row(y) + x0,
+                      static_cast<std::size_t>(leftEnd - x0));
+    }
+    if (rightBegin < x1) {
+      delta += kernel(gain.row(y) + rightBegin, cov.row(y) + rightBegin,
+                      static_cast<std::size_t>(x1 - rightBegin));
+    }
+    return delta;
+  };
+  double delta = 0.0;
+  const int width = gain.width();
+  img::forEachDiscSpan(newC.x, newC.y, newC.r, width, gain.height(),
+                       [&](int y, int x0, int x1) {
+                         delta += outsideCut(
+                             y, x0, x1,
+                             img::discRowSpan(oldC.x, oldC.y, oldC.r, y, width),
+                             model::kernels::spanDeltaAdd);
+                       });
+  img::forEachDiscSpan(oldC.x, oldC.y, oldC.r, width, gain.height(),
+                       [&](int y, int x0, int x1) {
+                         delta += outsideCut(
+                             y, x0, x1,
+                             img::discRowSpan(newC.x, newC.y, newC.r, y, width),
+                             model::kernels::spanDeltaRemove);
+                       });
+  return delta;
+}
+
+/// Run `delta(oldC, newC)` over the same seeded stream of move-centre
+/// proposals on the same state.
+template <typename Delta>
+void runDeltaReplace(benchmark::State& state, Delta&& delta) {
   model::ModelState s = microState(256, 30, 13);
   rng::Stream stream(14);
   const auto ids = s.config().aliveIds();
   for (auto _ : state) {
-    const model::CircleId id = ids[stream.below(ids.size())];
-    model::Circle c = s.config().get(id);
+    const model::Circle& oldC = s.config().get(ids[stream.below(ids.size())]);
+    model::Circle c = oldC;
     c.x += stream.normal(0, 2.0);
     c.y += stream.normal(0, 2.0);
-    benchmark::DoNotOptimize(s.deltaReplace(id, c));
+    benchmark::DoNotOptimize(delta(s.likelihood(), oldC, c));
   }
 }
+
+void BM_LikelihoodDeltaReplaceTwoPass(benchmark::State& state) {
+  runDeltaReplace(state, twoPassDeltaReplace);
+}
+BENCHMARK(BM_LikelihoodDeltaReplaceTwoPass);
+
+void BM_LikelihoodDeltaReplace(benchmark::State& state) {
+  runDeltaReplace(state, [](const model::PixelLikelihood& lik,
+                            const model::Circle& oldC,
+                            const model::Circle& newC) {
+    return lik.deltaReplace(oldC, newC);
+  });
+}
 BENCHMARK(BM_LikelihoodDeltaReplace);
+
+// --- spanTransitionDelta gate pair -----------------------------------------
+// The same 512x512 transition rows (the gate workload's gain and coverage,
+// coverage deltas from 40 removed and 40 added discs) through each backend,
+// selected with setBackend.
+
+struct TransitionWorkload {
+  img::Image<std::int16_t> dOld{512, 512, 0};
+  img::Image<std::int16_t> dNew{512, 512, 0};
+};
+
+const TransitionWorkload& transitionWorkload() {
+  static const TransitionWorkload w = [] {
+    TransitionWorkload out;
+    rng::Stream s(31);
+    for (img::Image<std::int16_t>* counts : {&out.dOld, &out.dNew}) {
+      for (int i = 0; i < 40; ++i) {
+        img::forEachDiscSpan(s.uniform(0, 512), s.uniform(0, 512),
+                             s.uniform(15, 40), 512, 512,
+                             [&](int y, int x0, int x1) {
+                               std::int16_t* row = counts->row(y);
+                               for (int x = x0; x < x1; ++x) ++row[x];
+                             });
+      }
+    }
+    return out;
+  }();
+  return w;
+}
+
+void runTransition(benchmark::State& state, model::kernels::Backend backend) {
+  const model::kernels::Backend saved = model::kernels::activeBackend();
+  if (!model::kernels::setBackend(backend)) {
+    state.SkipWithError("backend unavailable on this CPU");
+    return;
+  }
+  const GateWorkload& g = gateWorkload();
+  const TransitionWorkload& t = transitionWorkload();
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (int y = 0; y < 512; ++y) {
+      sum += model::kernels::spanTransitionDelta(
+          g.gain.row(y), g.cov.row(y), t.dOld.row(y), t.dNew.row(y), 512);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  model::kernels::setBackend(saved);
+  state.SetItemsProcessed(state.iterations() * 512 * 512);
+}
+
+void BM_TransitionSpan512Scalar(benchmark::State& state) {
+  runTransition(state, model::kernels::Backend::Scalar);
+}
+BENCHMARK(BM_TransitionSpan512Scalar);
+
+void BM_TransitionSpan512Avx2(benchmark::State& state) {
+  runTransition(state, model::kernels::Backend::Avx2);
+}
+BENCHMARK(BM_TransitionSpan512Avx2);
 
 void BM_FullPosteriorRecompute(benchmark::State& state) {
   model::ModelState s = microState(256, 30, 15);

@@ -12,8 +12,8 @@
 namespace mcmcpar::model {
 
 // Every delta/apply method walks the disc as contiguous row spans
-// (img::forEachDiscSpan) and hands each span to the vectorised kernels in
-// model/likelihood_kernels.*. Span results are folded in row order into a
+// (img::forEachDiscSpan, or its spans precomputed in deltaReplace) and hands
+// each span to the vectorised kernels in model/likelihood_kernels.*. Span results are folded in row order into a
 // plain double (move deltas) or a KahanSum (whole-image totals), which —
 // together with the kernels' fixed-lane accumulation — makes every value
 // bit-reproducible across runs, backends and machines.
@@ -75,26 +75,67 @@ double PixelLikelihood::deltaRemove(const Circle& c) const noexcept {
 
 namespace {
 
-/// Apply `kernel` to the sub-spans of [x0, x1) lying OUTSIDE the cut span
-/// (at most two contiguous segments), keeping the kernels on contiguous
+/// One disc's row spans over the rows img::forEachDiscSpan walks for it,
+/// computed once per deltaReplace: the disc's own enumeration reads them, and
+/// so does the other disc's enumeration, which cuts each of its rows by this
+/// disc's span on that row. `spans[y - rows.y0]` is exactly img::discRowSpan
+/// (empty rows included). A row outside `rows` still asks discRowSpan,
+/// because the row-range bound and the per-row sqrt can disagree at the rim.
+struct DiscRows {
+  double cx;
+  double cy;
+  double r;
+  int width;
+  img::RowRange rows;
+  const img::RowSpan* spans;
+
+  [[nodiscard]] img::RowSpan at(int y) const noexcept {
+    if (y >= rows.y0 && y <= rows.y1) return spans[y - rows.y0];
+    return img::discRowSpan(cx, cy, r, y, width);
+  }
+};
+
+/// The rows img::forEachDiscSpan walks for a disc (same skip conditions);
+/// empty (y0 > y1) when it walks none.
+img::RowRange walkedRows(double cy, double r, int width, int height) noexcept {
+  if (!(r > 0.0) || width <= 0 || height <= 0) return {0, -1};
+  return img::discRowRange(cy, r, height);
+}
+
+std::size_t rowCount(img::RowRange rows) noexcept {
+  return rows.y0 > rows.y1 ? 0 : static_cast<std::size_t>(rows.y1 - rows.y0 + 1);
+}
+
+DiscRows computeDiscRows(double cx, double cy, double r, int width,
+                         img::RowRange rows, img::RowSpan* out) noexcept {
+  for (int y = rows.y0; y <= rows.y1; ++y) {
+    out[y - rows.y0] = img::discRowSpan(cx, cy, r, y, width);
+  }
+  return DiscRows{cx, cy, r, width, rows, out};
+}
+
+/// Apply the span kernel to the sub-spans of [x0, x1) lying OUTSIDE the cut
+/// span (at most two contiguous segments), keeping the kernels on contiguous
 /// slices. The cut uses the same span geometry as the enumeration, so the
-/// excluded pixel set is exactly the other disc's raster footprint.
-template <typename Kernel>
+/// excluded pixel set is exactly the other disc's raster footprint. Crescent
+/// segments are often a few pixels wide: those shorter than kLanes take the
+/// inline `shortKernel`, which is bit-identical to `kernel`.
+template <typename Kernel, typename ShortKernel>
 double spanOutsideCut(const float* gainRow, const std::uint16_t* covRow,
-                      int x0, int x1, img::RowSpan cut,
-                      Kernel&& kernel) noexcept {
+                      int x0, int x1, img::RowSpan cut, Kernel&& kernel,
+                      ShortKernel&& shortKernel) noexcept {
   const bool haveCut = cut.x0 < cut.x1;
   const int leftEnd = haveCut ? std::clamp(cut.x0, x0, x1) : x1;
   const int rightBegin = haveCut ? std::clamp(cut.x1, x0, x1) : x1;
+  const auto segment = [&](int begin, int end) noexcept {
+    const auto n = static_cast<std::size_t>(end - begin);
+    return n < kernels::kLanes
+               ? shortKernel(gainRow + begin, covRow + begin, n)
+               : kernel(gainRow + begin, covRow + begin, n);
+  };
   double delta = 0.0;
-  if (x0 < leftEnd) {
-    delta += kernel(gainRow + x0, covRow + x0,
-                    static_cast<std::size_t>(leftEnd - x0));
-  }
-  if (rightBegin < x1) {
-    delta += kernel(gainRow + rightBegin, covRow + rightBegin,
-                    static_cast<std::size_t>(x1 - rightBegin));
-  }
+  if (x0 < leftEnd) delta += segment(x0, leftEnd);
+  if (rightBegin < x1) delta += segment(rightBegin, x1);
   return delta;
 }
 
@@ -106,27 +147,43 @@ double PixelLikelihood::deltaReplace(const Circle& oldC,
   // Subtracting the other disc's row span from each enumerated span keeps
   // the kernels on contiguous slices and reuses the exact span geometry of
   // the apply path, so the two discs' pixel sets can never disagree with an
-  // applyRemove+applyAdd of the same circles.
-  double delta = 0.0;
+  // applyRemove+applyAdd of the same circles. Each disc's spans are computed
+  // once and serve both as its own enumeration and as the other disc's cut;
+  // new-disc rows are summed before old-disc rows, in row order. The buffer
+  // is thread_local because const delta evaluation may run concurrently on
+  // the same likelihood (in-place executor).
+  const int width = gain_.width();
+  const int height = gain_.height();
   const double ox = oldC.x - originX_;
   const double oy = oldC.y - originY_;
   const double nx = newC.x - originX_;
   const double ny = newC.y - originY_;
-  const int width = gain_.width();
-  img::forEachDiscSpan(
-      nx, ny, newC.r, width, gain_.height(),
-      [&](int y, int x0, int x1) noexcept {
-        delta += spanOutsideCut(gain_.row(y), coverage_.row(y), x0, x1,
-                                img::discRowSpan(ox, oy, oldC.r, y, width),
-                                kernels::spanDeltaAdd);
-      });
-  img::forEachDiscSpan(
-      ox, oy, oldC.r, width, gain_.height(),
-      [&](int y, int x0, int x1) noexcept {
-        delta += spanOutsideCut(gain_.row(y), coverage_.row(y), x0, x1,
-                                img::discRowSpan(nx, ny, newC.r, y, width),
-                                kernels::spanDeltaRemove);
-      });
+  const img::RowRange oldRange = walkedRows(oy, oldC.r, width, height);
+  const img::RowRange newRange = walkedRows(ny, newC.r, width, height);
+  thread_local std::vector<img::RowSpan> spanBuffer;
+  const std::size_t oldCount = rowCount(oldRange);
+  const std::size_t need = oldCount + rowCount(newRange);
+  if (spanBuffer.size() < need) spanBuffer.resize(need);
+  const DiscRows oldRows = computeDiscRows(ox, oy, oldC.r, width, oldRange,
+                                           spanBuffer.data());
+  const DiscRows newRows = computeDiscRows(nx, ny, newC.r, width, newRange,
+                                           spanBuffer.data() + oldCount);
+
+  double delta = 0.0;
+  for (int y = newRange.y0; y <= newRange.y1; ++y) {
+    const img::RowSpan s = newRows.spans[y - newRange.y0];
+    if (s.x0 >= s.x1) continue;
+    delta += spanOutsideCut(gain_.row(y), coverage_.row(y), s.x0, s.x1,
+                            oldRows.at(y), kernels::spanDeltaAdd,
+                            kernels::shortSpanDeltaAdd);
+  }
+  for (int y = oldRange.y0; y <= oldRange.y1; ++y) {
+    const img::RowSpan s = oldRows.spans[y - oldRange.y0];
+    if (s.x0 >= s.x1) continue;
+    delta += spanOutsideCut(gain_.row(y), coverage_.row(y), s.x0, s.x1,
+                            newRows.at(y), kernels::spanDeltaRemove,
+                            kernels::shortSpanDeltaRemove);
+  }
   return delta;
 }
 

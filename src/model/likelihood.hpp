@@ -37,7 +37,8 @@ struct LikelihoodParams {
 /// partition legality rules; the scalar total would otherwise be a race).
 ///
 /// Hot path: every method walks the disc as contiguous row spans
-/// (img::forEachDiscSpan) and sums each span with the vectorised kernels in
+/// (img::forEachDiscSpan, or for deltaReplace the same spans computed once
+/// per disc) and sums each span with the vectorised kernels in
 /// model/likelihood_kernels.hpp. The kernels' fixed-lane accumulation makes
 /// every delta bit-reproducible across backends (scalar/AVX2) and
 /// machines — see the determinism policy in that header.
@@ -60,6 +61,14 @@ class PixelLikelihood {
     return constTerm_ + coveredGain_;
   }
   [[nodiscard]] double coveredGain() const noexcept { return coveredGain_; }
+
+  /// The per-pixel gain and coverage rasters, in crop-local coordinates
+  /// (pixel (gx, gy) is at (gx - originX, gy - originY)). Read-only views
+  /// for reference implementations in tests and benchmarks.
+  [[nodiscard]] const img::ImageF& gainRaster() const noexcept { return gain_; }
+  [[nodiscard]] const img::Image<std::uint16_t>& coverageRaster() const noexcept {
+    return coverage_;
+  }
 
   /// Coverage count at a global pixel coordinate (must be inside the crop).
   [[nodiscard]] std::uint16_t coverageAt(int gx, int gy) const noexcept {

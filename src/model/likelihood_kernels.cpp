@@ -139,6 +139,36 @@ double scalarSumCovered(const float* gain, const std::uint16_t* cov,
   return combineLanes(lanes);
 }
 
+double scalarTransitionDelta(const float* gain, const std::uint16_t* cov,
+                             const std::int16_t* dOld,
+                             const std::int16_t* dNew, std::size_t n) noexcept {
+  double l0 = 0, l1 = 0, l2 = 0, l3 = 0, l4 = 0, l5 = 0, l6 = 0, l7 = 0;
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+#define MCMCPAR_LANE_OP(k)                                  \
+  do {                                                      \
+    const int cur = cov[i + k];                             \
+    const bool was = cur > 0;                               \
+    const bool now = cur - dOld[i + k] + dNew[i + k] > 0;   \
+    l##k += was == now ? 0.0                                \
+            : now      ? static_cast<double>(gain[i + k])   \
+                       : -static_cast<double>(gain[i + k]); \
+  } while (false)
+    MCMCPAR_FOR_EACH_LANE(MCMCPAR_LANE_OP);
+#undef MCMCPAR_LANE_OP
+  }
+  double lanes[kLanes] = {l0, l1, l2, l3, l4, l5, l6, l7};
+  for (; i < n; ++i) {
+    const int cur = cov[i];
+    const bool was = cur > 0;
+    const bool now = cur - dOld[i] + dNew[i] > 0;
+    lanes[i & 7] += was == now ? 0.0
+                    : now      ? static_cast<double>(gain[i])
+                               : -static_cast<double>(gain[i]);
+  }
+  return combineLanes(lanes);
+}
+
 Backend detectBackend() noexcept {
   const char* forced = std::getenv("MCMCPAR_SIMD");
   if (forced != nullptr && std::strcmp(forced, "scalar") == 0) {
@@ -235,31 +265,12 @@ double spanSumCovered(const float* gain, const std::uint16_t* cov,
 double spanTransitionDelta(const float* gain, const std::uint16_t* cov,
                            const std::int16_t* dOld, const std::int16_t* dNew,
                            std::size_t n) noexcept {
-  double l0 = 0, l1 = 0, l2 = 0, l3 = 0, l4 = 0, l5 = 0, l6 = 0, l7 = 0;
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-#define MCMCPAR_LANE_OP(k)                                  \
-  do {                                                      \
-    const int cur = cov[i + k];                             \
-    const bool was = cur > 0;                               \
-    const bool now = cur - dOld[i + k] + dNew[i + k] > 0;   \
-    l##k += was == now ? 0.0                                \
-            : now      ? static_cast<double>(gain[i + k])   \
-                       : -static_cast<double>(gain[i + k]); \
-  } while (false)
-    MCMCPAR_FOR_EACH_LANE(MCMCPAR_LANE_OP);
-#undef MCMCPAR_LANE_OP
+#if defined(MCMCPAR_HAVE_AVX2_KERNELS)
+  if (activeBackend() == Backend::Avx2) {
+    return avx2::spanTransitionDelta(gain, cov, dOld, dNew, n);
   }
-  double lanes[kLanes] = {l0, l1, l2, l3, l4, l5, l6, l7};
-  for (; i < n; ++i) {
-    const int cur = cov[i];
-    const bool was = cur > 0;
-    const bool now = cur - dOld[i] + dNew[i] > 0;
-    lanes[i & 7] += was == now ? 0.0
-                    : now      ? static_cast<double>(gain[i])
-                               : -static_cast<double>(gain[i]);
-  }
-  return combineLanes(lanes);
+#endif
+  return scalarTransitionDelta(gain, cov, dOld, dNew, n);
 }
 
 }  // namespace mcmcpar::model::kernels

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 
@@ -83,12 +84,49 @@ double spanApplyRemove(const float* gain, std::uint16_t* cov,
 /// Joint coverage-transition delta for multi-disc moves: pixel i currently
 /// has count cov[i], loses dOld[i] discs and gains dNew[i]; the result sums
 /// +gain where the pixel becomes covered and -gain where it becomes bare.
-/// Scalar only (split/merge moves are far off the hot path).
+/// Split and merge (deltaMultiple) run every row of the moves' joint
+/// bounding box through it, which puts it on the hot path, so it has an AVX2
+/// backend like the other kernels. Both backends widen the counts to 32 bits
+/// before cov - dOld + dNew, so a count near 65535 cannot wrap.
 [[nodiscard]] double spanTransitionDelta(const float* gain,
                                          const std::uint16_t* cov,
                                          const std::int16_t* dOld,
                                          const std::int16_t* dNew,
                                          std::size_t n) noexcept;
+
+// --- short segments ---------------------------------------------------------
+// A segment shorter than kLanes never fills a lane bank: element i lands in
+// lane i, which starts at +0.0 and receives one add, and the fixed combine
+// order folds the untouched lanes in as +0.0. These inline twins spell out
+// exactly that arithmetic, so they are bit-identical to the dispatched
+// kernels on every backend while skipping the call, the backend load and the
+// vector set-up for the few-pixel crescent segments deltaReplace produces.
+
+/// spanDeltaAdd for n < kLanes.
+[[nodiscard]] inline double shortSpanDeltaAdd(const float* gain,
+                                              const std::uint16_t* cov,
+                                              std::size_t n) noexcept {
+  assert(n < kLanes);
+  double lanes[kLanes] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    lanes[i] += cov[i] == 0 ? static_cast<double>(gain[i]) : 0.0;
+  }
+  return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+         ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+}
+
+/// spanDeltaRemove for n < kLanes.
+[[nodiscard]] inline double shortSpanDeltaRemove(const float* gain,
+                                                 const std::uint16_t* cov,
+                                                 std::size_t n) noexcept {
+  assert(n < kLanes);
+  double lanes[kLanes] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    lanes[i] -= cov[i] == 1 ? static_cast<double>(gain[i]) : 0.0;
+  }
+  return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+         ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+}
 
 // --- compensated accumulation ---------------------------------------------
 

@@ -7,7 +7,10 @@
 // elements contribute +0.0 (identical to the scalar ternary's 0.0 arm),
 // the float->double widening is exact, and the tail (<8 elements) plus the
 // final lane combine run the very same scalar code. There are no multiplies,
-// so FMA contraction cannot perturb the sums.
+// so FMA contraction cannot perturb the sums. spanTransitionDelta widens the
+// coverage and delta counts to 32-bit lanes before cov - dOld + dNew, exactly
+// as the scalar loop's int arithmetic, and builds -gain by flipping the float
+// sign bit, which widens to the same double as the scalar negation.
 
 #include "model/likelihood_kernels_avx2.hpp"
 
@@ -156,6 +159,47 @@ double spanSumCovered(const float* gain, const std::uint16_t* cov,
   storeLanes(lanes, acc0, acc1);
   for (; i < n; ++i) {
     lanes[i & 7] += cov[i] > 0 ? static_cast<double>(gain[i]) : 0.0;
+  }
+  return combineLanes(lanes);
+}
+
+double spanTransitionDelta(const float* gain, const std::uint16_t* cov,
+                           const std::int16_t* dOld, const std::int16_t* dNew,
+                           std::size_t n) noexcept {
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256 signBit = _mm256_set1_ps(-0.0f);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i cur = _mm256_cvtepu16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cov + i)));
+    const __m256i lost = _mm256_cvtepi16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(dOld + i)));
+    const __m256i gained = _mm256_cvtepi16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(dNew + i)));
+    const __m256i after =
+        _mm256_add_epi32(_mm256_sub_epi32(cur, lost), gained);
+    const __m256i was = _mm256_cmpgt_epi32(cur, zero);
+    const __m256i now = _mm256_cmpgt_epi32(after, zero);
+    const __m256i flipped = _mm256_xor_si256(was, now);
+    // Flipped pixels keep their gain (others become +0.0, the scalar 0.0
+    // arm); the ones that were covered, i.e. become bare, get it negated.
+    const __m256 magnitude = _mm256_and_ps(_mm256_loadu_ps(gain + i),
+                                           _mm256_castsi256_ps(flipped));
+    const __m256 sign = _mm256_and_ps(
+        signBit, _mm256_castsi256_ps(_mm256_and_si256(flipped, was)));
+    accumulate(acc0, acc1, _mm256_xor_ps(magnitude, sign));
+  }
+  double lanes[8];
+  storeLanes(lanes, acc0, acc1);
+  for (; i < n; ++i) {
+    const int cur = cov[i];
+    const bool was = cur > 0;
+    const bool now = cur - dOld[i] + dNew[i] > 0;
+    lanes[i & 7] += was == now ? 0.0
+                    : now      ? static_cast<double>(gain[i])
+                               : -static_cast<double>(gain[i]);
   }
   return combineLanes(lanes);
 }

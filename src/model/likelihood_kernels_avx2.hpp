@@ -21,5 +21,8 @@ double spanApplyRemove(const float* gain, std::uint16_t* cov,
                        std::size_t n) noexcept;
 double spanSumCovered(const float* gain, const std::uint16_t* cov,
                       std::size_t n) noexcept;
+double spanTransitionDelta(const float* gain, const std::uint16_t* cov,
+                           const std::int16_t* dOld, const std::int16_t* dNew,
+                           std::size_t n) noexcept;
 
 }  // namespace mcmcpar::model::kernels::avx2

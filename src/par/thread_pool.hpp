@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -17,6 +18,12 @@ namespace mcmcpar::par {
 /// executors use: it runs fn(i) for i in [0, n) across the workers and the
 /// calling thread, returning when every index completed. Exceptions from
 /// tasks propagate out of parallelFor (first one wins).
+///
+/// Fine-grained callers (speculative rounds of a few microseconds) issue
+/// tens of thousands of parallelFor calls per run, so an idle worker and a
+/// waiting parallelFor caller first spin for kSpinBeforePark before they
+/// park on a condition variable, and submit() only pays for a notify when a
+/// worker is actually parked.
 class ThreadPool {
  public:
   /// Spawn `threads` workers (0 = hardware concurrency, at least 1).
@@ -64,6 +71,9 @@ class ThreadPool {
   std::condition_variable taskReady_;
   std::condition_variable allDone_;
   std::size_t inFlight_ = 0;
+  std::size_t parked_ = 0;  ///< workers blocked on taskReady_ (under mutex_)
+  /// queue_.size(), written under mutex_ and read lock-free by spinners.
+  std::atomic<std::size_t> queued_{0};
   bool stopping_ = false;
 };
 

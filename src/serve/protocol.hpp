@@ -27,6 +27,9 @@ inline constexpr const char* kErrQueueFull = "QUEUE_FULL";
 /// truncated payload).
 inline constexpr const char* kErrTooLarge = "TOO_LARGE";
 inline constexpr const char* kErrBadFrame = "BAD_FRAME";
+/// A command line longer than the server's cap (docs/PROTOCOL.md); the
+/// connection closes after this reply.
+inline constexpr const char* kErrLineTooLong = "LINE_TOO_LONG";
 
 /// JSON string escaping, shared with the tracer's writer.
 using obs::jsonEscape;

@@ -44,6 +44,12 @@ constexpr int kFrameReadMillis = 30000;
 /// Uploads retained per connection; the oldest is dropped past the cap.
 constexpr std::size_t kMaxUploadsPerConnection = 64;
 
+/// Longest command line the server buffers while waiting for its newline.
+/// A client that sends more without one is answered ERR LINE_TOO_LONG and
+/// disconnected, so it can neither grow the buffer without bound nor keep
+/// a handler rescanning it.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
 void setRecvTimeout(int fd, long millis) {
   timeval tv{};
   tv.tv_sec = millis / 1000;
@@ -227,12 +233,27 @@ void SocketFrontend::handleConnection(int fd) {
       registry.gauge("mcmcpar_serve_active_connections",
                      "Socket connections currently open."));
   std::string buffer;
+  std::size_t scanned = 0;  // prefix of `buffer` known to hold no newline
   char chunk[4096];
   bool keepOpen = true;
   ConnectionState state;
   while (keepOpen && !stopping_.load()) {
-    const std::size_t newline = buffer.find('\n');
+    const std::size_t newline = buffer.find('\n', scanned);
+    if (newline == std::string::npos ? buffer.size() > kMaxLineBytes
+                                     : newline > kMaxLineBytes) {
+      registry
+          .counter("mcmcpar_serve_rejections_total",
+                   "Connections the server cut off, by reason.",
+                   {{"reason", "line_too_long"}})
+          .add();
+      (void)sendLine(fd, protocol::errLine(
+                             protocol::kErrLineTooLong,
+                             "command line exceeds " +
+                                 std::to_string(kMaxLineBytes) + " bytes"));
+      break;
+    }
     if (newline == std::string::npos) {
+      scanned = buffer.size();
       const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
       if (n == 0) break;  // client closed
       if (n < 0) {
@@ -246,6 +267,7 @@ void SocketFrontend::handleConnection(int fd) {
     }
     std::string line = buffer.substr(0, newline);
     buffer.erase(0, newline + 1);
+    scanned = 0;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     // UPLOAD is the one command followed by a binary body, so it cannot go

@@ -45,7 +45,9 @@ class ProtocolError : public std::runtime_error {
 ///   PING                -> OK pong
 ///   SHUTDOWN            -> OK draining (and fires the onShutdown callback)
 /// Failures reply `ERR <code> <message>` (QUEUE_FULL when bounded
-/// admission rejects a SUBMIT; BAD_FRAME/TOO_LARGE reject an UPLOAD).
+/// admission rejects a SUBMIT; BAD_FRAME/TOO_LARGE reject an UPLOAD;
+/// LINE_TOO_LONG, followed by a close, when a command line passes 1 MiB
+/// without its newline).
 class SocketFrontend {
  public:
   /// Bind 127.0.0.1:`port` (0 = pick an ephemeral port) and start

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "img/disc_raster.hpp"
 #include "img/synth.hpp"
 #include "model/likelihood.hpp"
+#include "model/likelihood_kernels.hpp"
 #include "rng/distributions.hpp"
 #include "rng/stream.hpp"
 
@@ -313,6 +317,251 @@ TEST(PixelLikelihood, OriginOffsetKeepsGlobalCoordinates) {
   const PixelLikelihood offset(sub, testParams(), 12, 8);
   const Circle c{22, 18, 4};  // global coordinates, inside crop
   EXPECT_NEAR(offset.deltaAdd(c), whole.deltaAdd(c), 1e-6);
+}
+
+// ---------------------------------------------------------------------------
+// Bit-identity of the delta paths against the earlier algorithms
+// ---------------------------------------------------------------------------
+
+/// deltaReplace as it was before each disc's spans were computed once: two
+/// passes through img::forEachDiscSpan, each row cut by a fresh
+/// img::discRowSpan of the other disc, every segment through the dispatched
+/// kernel.
+double twoPassDeltaReplace(const PixelLikelihood& lik, const Circle& oldC,
+                           const Circle& newC) {
+  const img::ImageF& gain = lik.gainRaster();
+  const img::Image<std::uint16_t>& cov = lik.coverageRaster();
+  const auto outsideCut = [&](int y, int x0, int x1, img::RowSpan cut,
+                              auto kernel) {
+    const bool haveCut = cut.x0 < cut.x1;
+    const int leftEnd = haveCut ? std::clamp(cut.x0, x0, x1) : x1;
+    const int rightBegin = haveCut ? std::clamp(cut.x1, x0, x1) : x1;
+    double delta = 0.0;
+    if (x0 < leftEnd) {
+      delta += kernel(gain.row(y) + x0, cov.row(y) + x0,
+                      static_cast<std::size_t>(leftEnd - x0));
+    }
+    if (rightBegin < x1) {
+      delta += kernel(gain.row(y) + rightBegin, cov.row(y) + rightBegin,
+                      static_cast<std::size_t>(x1 - rightBegin));
+    }
+    return delta;
+  };
+  double delta = 0.0;
+  const double ox = oldC.x - lik.originX();
+  const double oy = oldC.y - lik.originY();
+  const double nx = newC.x - lik.originX();
+  const double ny = newC.y - lik.originY();
+  const int width = gain.width();
+  img::forEachDiscSpan(nx, ny, newC.r, width, gain.height(),
+                       [&](int y, int x0, int x1) {
+                         delta += outsideCut(
+                             y, x0, x1,
+                             img::discRowSpan(ox, oy, oldC.r, y, width),
+                             kernels::spanDeltaAdd);
+                       });
+  img::forEachDiscSpan(ox, oy, oldC.r, width, gain.height(),
+                       [&](int y, int x0, int x1) {
+                         delta += outsideCut(
+                             y, x0, x1,
+                             img::discRowSpan(nx, ny, newC.r, y, width),
+                             kernels::spanDeltaRemove);
+                       });
+  return delta;
+}
+
+/// The documented lane arithmetic of spanTransitionDelta, written plainly.
+double transitionLanes(const float* gain, const std::uint16_t* cov,
+                       const std::int16_t* dOld, const std::int16_t* dNew,
+                       std::size_t n) {
+  double lanes[kernels::kLanes] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    const int cur = cov[i];
+    const bool was = cur > 0;
+    const bool now = cur - dOld[i] + dNew[i] > 0;
+    lanes[i % kernels::kLanes] += was == now ? 0.0
+                                  : now      ? static_cast<double>(gain[i])
+                                             : -static_cast<double>(gain[i]);
+  }
+  return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+         ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+}
+
+/// deltaMultiple's splat algorithm: per-row coverage deltas over the joint
+/// bounding box, each row summed over its touched columns.
+double splatDeltaMultiple(const PixelLikelihood& lik,
+                          const std::vector<Circle>& removed,
+                          const std::vector<Circle>& added) {
+  const img::ImageF& gain = lik.gainRaster();
+  const img::Image<std::uint16_t>& cov = lik.coverageRaster();
+  double bx0 = 1e30, by0 = 1e30, bx1 = -1e30, by1 = -1e30;
+  for (const std::vector<Circle>* list : {&removed, &added}) {
+    for (const Circle& c : *list) {
+      bx0 = std::min(bx0, c.x - c.r - lik.originX());
+      by0 = std::min(by0, c.y - c.r - lik.originY());
+      bx1 = std::max(bx1, c.x + c.r - lik.originX());
+      by1 = std::max(by1, c.y + c.r - lik.originY());
+    }
+  }
+  if (bx1 < bx0) return 0.0;
+  const int x0 = std::max(0, static_cast<int>(std::floor(std::max(bx0, -1.0))));
+  const int y0 = std::max(0, static_cast<int>(std::floor(std::max(by0, -1.0))));
+  const int x1 = std::min(
+      gain.width() - 1,
+      static_cast<int>(std::ceil(std::min(bx1, 1.0 + gain.width()))));
+  const int y1 = std::min(
+      gain.height() - 1,
+      static_cast<int>(std::ceil(std::min(by1, 1.0 + gain.height()))));
+  if (x1 < x0 || y1 < y0) return 0.0;
+  const auto bboxWidth = static_cast<std::size_t>(x1 - x0 + 1);
+  double delta = 0.0;
+  for (int y = y0; y <= y1; ++y) {
+    std::vector<std::int16_t> dOld(bboxWidth, 0), dNew(bboxWidth, 0);
+    int rowMin = x1 + 1;
+    int rowMax = x0 - 1;
+    const auto splat = [&](const Circle& c, std::vector<std::int16_t>& counts) {
+      const img::RowSpan s = img::discRowSpan(
+          c.x - lik.originX(), c.y - lik.originY(), c.r, y, gain.width());
+      if (s.x0 >= s.x1) return;
+      rowMin = std::min(rowMin, s.x0);
+      rowMax = std::max(rowMax, s.x1 - 1);
+      for (int x = s.x0; x < s.x1; ++x) ++counts[static_cast<std::size_t>(x - x0)];
+    };
+    for (const Circle& c : removed) splat(c, dOld);
+    for (const Circle& c : added) splat(c, dNew);
+    if (rowMin > rowMax) continue;
+    const auto off = static_cast<std::size_t>(rowMin - x0);
+    delta += transitionLanes(gain.row(y) + rowMin, cov.row(y) + rowMin,
+                             dOld.data() + off, dNew.data() + off,
+                             static_cast<std::size_t>(rowMax - rowMin + 1));
+  }
+  return delta;
+}
+
+/// An image whose gains span about 45 binades: pixel values scatter around
+/// the midpoint of the two class means, where the gain crosses zero, out to
+/// a million. Same-magnitude gains sum exactly in double whatever the
+/// order, so only a spread like this lets `==` see a changed summation
+/// order as well as a changed pixel set.
+img::ImageF wideGainImage(int w, int h, std::uint64_t seed) {
+  rng::Stream s(seed);
+  img::ImageF im(w, h);
+  for (float& v : im.pixels()) {
+    const double offset = std::pow(10.0, s.uniform(-7.0, 6.0));
+    v = static_cast<float>(0.45 + (s.uniform() < 0.5 ? -offset : offset));
+  }
+  return im;
+}
+
+/// A proposal for one applied circle: small moves, far jumps (often clipped
+/// by the border), sub-pixel radii whose every row takes discRowSpan's rim
+/// verification, knife-edge discs with pixel centres exactly on the rim,
+/// and degenerate radii. A disc of radius <= 0 enumerates no rows, yet
+/// discRowSpan still gives it a cut (r = 0 on a pixel centre cuts that
+/// pixel, r < 0 cuts the disc of radius |r|), so cutting by it exercises
+/// the rows outside the other disc's row range.
+Circle proposeFrom(const Circle& c, int gx0, int gy0, int w, int h,
+                   rng::Stream& s, bool degenerate) {
+  switch (s.below(degenerate ? 6 : 4)) {
+    case 4:
+      return {std::floor(c.x) + 0.5, std::floor(c.y) + 0.5, 0.0};
+    case 5:
+      return {c.x + s.normal(0.0, 1.5), c.y + s.normal(0.0, 1.5), -c.r};
+    case 0:
+      return {c.x + s.normal(0.0, 1.5), c.y + s.normal(0.0, 1.5),
+              std::max(0.3, c.r + s.normal(0.0, 0.6))};
+    case 1:
+      return {s.uniform(gx0 - 12.0, gx0 + w + 12.0),
+              s.uniform(gy0 - 12.0, gy0 + h + 12.0), s.uniform(1.0, 14.0)};
+    case 2:
+      return {c.x + s.uniform(-2.0, 2.0), c.y + s.uniform(-2.0, 2.0),
+              s.uniform(0.05, 1.2)};
+    default:
+      return {std::floor(c.x) + 0.5, std::floor(c.y) + 0.5,
+              static_cast<double>(1 + s.below(9))};
+  }
+}
+
+/// A raster of `count` applied circles over a random image, some of them
+/// knife-edge or sub-pixel, some overlapping the border.
+std::vector<Circle> populate(PixelLikelihood& lik, int w, int h, int count,
+                             rng::Stream& s) {
+  std::vector<Circle> applied;
+  for (int i = 0; i < count; ++i) {
+    Circle c{s.uniform(-6.0, w + 6.0), s.uniform(-6.0, h + 6.0),
+             s.uniform(0.4, 11.0)};
+    if (i % 5 == 0) {
+      c = {std::floor(c.x) + 0.5, std::floor(c.y) + 0.5, std::floor(c.r) + 1.0};
+    }
+    lik.adjustCoveredGain(lik.applyAdd(c));
+    applied.push_back(c);
+  }
+  return applied;
+}
+
+TEST(PixelLikelihood, DeltaReplaceBitMatchesTwoPassReference) {
+  const img::ImageF im = wideGainImage(96, 80, 31);
+  PixelLikelihood full(im, testParams());
+  rng::Stream s(33);
+  const std::vector<Circle> applied = populate(full, 96, 80, 40, s);
+  // A crop with a non-zero origin sees the same circles in global
+  // coordinates, most of them clipped by its border.
+  const PixelLikelihood crop = full.crop(17, 11, 53, 47);
+  int cases = 0;
+  for (const PixelLikelihood* lik : {&std::as_const(full), &crop}) {
+    for (int i = 0; i < 6000; ++i, ++cases) {
+      Circle oldC = applied[s.below(applied.size())];
+      Circle newC = proposeFrom(oldC, lik->originX(), lik->originY(),
+                                lik->width(), lik->height(), s,
+                                /*degenerate=*/true);
+      // Reversed, the degenerate proposals become the cutting disc.
+      if (s.below(4) == 0) std::swap(oldC, newC);
+      ASSERT_EQ(lik->deltaReplace(oldC, newC),
+                twoPassDeltaReplace(*lik, oldC, newC))
+          << "old (" << oldC.x << ", " << oldC.y << ", " << oldC.r
+          << ") new (" << newC.x << ", " << newC.y << ", " << newC.r
+          << ") origin (" << lik->originX() << ", " << lik->originY() << ")";
+    }
+  }
+  EXPECT_GE(cases, 10000);
+}
+
+TEST(PixelLikelihood, DeltaMultipleBitMatchesSplatReference) {
+  const img::ImageF im = wideGainImage(96, 80, 35);
+  PixelLikelihood full(im, testParams());
+  rng::Stream s(37);
+  const std::vector<Circle> applied = populate(full, 96, 80, 40, s);
+  const PixelLikelihood crop = full.crop(17, 11, 53, 47);
+  struct BackendGuard {
+    kernels::Backend saved = kernels::activeBackend();
+    ~BackendGuard() { kernels::setBackend(saved); }
+  } guard;
+  int cases = 0;
+  for (const kernels::Backend backend :
+       {kernels::Backend::Scalar, kernels::Backend::Avx2}) {
+    if (!kernels::setBackend(backend)) continue;  // AVX2 unavailable
+    for (const PixelLikelihood* lik : {&std::as_const(full), &crop}) {
+      for (int i = 0; i < 5000; ++i, ++cases) {
+        // Split (1 removed, 2 added) or merge (2 removed, 1 added).
+        const bool split = s.below(2) == 0;
+        std::vector<Circle> removed{applied[s.below(applied.size())]};
+        if (!split) removed.push_back(applied[s.below(applied.size())]);
+        std::vector<Circle> added;
+        for (std::size_t k = 0; k < (split ? 2u : 1u); ++k) {
+          // Split and merge reject radii outside the prior's support
+          // before they ask for a delta, so no degenerate radii here.
+          added.push_back(proposeFrom(removed[0], lik->originX(),
+                                      lik->originY(), lik->width(),
+                                      lik->height(), s,
+                                      /*degenerate=*/false));
+        }
+        ASSERT_EQ(lik->deltaMultiple(removed, added),
+                  splatDeltaMultiple(*lik, removed, added))
+            << "backend " << kernels::backendName() << " case " << i;
+      }
+    }
+  }
+  EXPECT_GE(cases, 10000);
 }
 
 }  // namespace

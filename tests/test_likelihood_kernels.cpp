@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -297,6 +299,106 @@ TEST(LikelihoodKernels, KahanSumBeatsNaiveOnAdversarialSequence) {
   const double exact = 1.0 + 1e-12;
   EXPECT_EQ(naive, 1.0);  // every tiny add rounds away
   EXPECT_NEAR(kahan.value(), exact, 1e-15);
+}
+
+/// The documented lane semantics of spanTransitionDelta, written naively.
+double transitionReference(const float* gain, const std::uint16_t* cov,
+                           const std::int16_t* dOld, const std::int16_t* dNew,
+                           std::size_t n) {
+  double lanes[k::kLanes] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    const long after = static_cast<long>(cov[i]) - dOld[i] + dNew[i];
+    if ((cov[i] > 0) == (after > 0)) continue;
+    lanes[i % k::kLanes] += after > 0 ? static_cast<double>(gain[i])
+                                      : -static_cast<double>(gain[i]);
+  }
+  return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+         ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+}
+
+/// A gain whose exponent spans +-60 binades: sums of a few same-magnitude
+/// floats are exact in double whatever the order, so only gains this far
+/// apart make a wrong lane assignment or combine order change the bits.
+float wideGain(rng::Stream& s) {
+  return static_cast<float>(
+      std::ldexp(s.uniform(-1.0, 1.0), static_cast<int>(s.below(121)) - 60));
+}
+
+TEST(LikelihoodKernels, TransitionDeltaBackendsBitMatchForEveryLength) {
+  BackendGuard guard;
+  rng::Stream s(303);
+  for (std::size_t n = 0; n <= 64; ++n) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<float> gain(n);
+      std::vector<std::uint16_t> cov(n);
+      std::vector<std::int16_t> dOld(n), dNew(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        gain[i] = wideGain(s);
+        // Counts near 65535 are where 16-bit arithmetic would wrap
+        // (65535 + 1 -> 0 reads as "becomes bare").
+        const double u = s.uniform();
+        cov[i] = u < 0.3   ? 0
+                 : u < 0.6 ? 1
+                 : u < 0.8 ? static_cast<std::uint16_t>(s.below(4) + 2)
+                           : static_cast<std::uint16_t>(65535 - s.below(3));
+        dOld[i] = static_cast<std::int16_t>(
+            std::min<std::uint64_t>(s.below(3), cov[i]));
+        dNew[i] = static_cast<std::int16_t>(s.below(3));
+      }
+      const double expected = transitionReference(
+          gain.data(), cov.data(), dOld.data(), dNew.data(), n);
+      ASSERT_TRUE(k::setBackend(k::Backend::Scalar));
+      EXPECT_EQ(k::spanTransitionDelta(gain.data(), cov.data(), dOld.data(),
+                                       dNew.data(), n),
+                expected)
+          << "scalar, n = " << n;
+      if (!k::avx2Available()) continue;
+      ASSERT_TRUE(k::setBackend(k::Backend::Avx2));
+      EXPECT_EQ(k::spanTransitionDelta(gain.data(), cov.data(), dOld.data(),
+                                       dNew.data(), n),
+                expected)
+          << "avx2, n = " << n;
+    }
+  }
+}
+
+TEST(LikelihoodKernels, TransitionDeltaDoesNotWrapAtFullCoverage) {
+  BackendGuard guard;
+  // Eight pixels at the count ceiling gaining one disc stay covered: no
+  // transition, so the delta is zero on every backend.
+  const std::vector<float> gain(8, 1.5f);
+  const std::vector<std::uint16_t> cov(8, 65535);
+  const std::vector<std::int16_t> none(8, 0), one(8, 1);
+  for (k::Backend b : {k::Backend::Scalar, k::Backend::Avx2}) {
+    if (!k::setBackend(b)) continue;
+    EXPECT_EQ(k::spanTransitionDelta(gain.data(), cov.data(), none.data(),
+                                     one.data(), 8),
+              0.0)
+        << k::backendName();
+  }
+}
+
+TEST(LikelihoodKernels, ShortPathBitMatchesDispatchedKernels) {
+  BackendGuard guard;
+  rng::Stream s(404);
+  for (k::Backend b : {k::Backend::Scalar, k::Backend::Avx2}) {
+    if (!k::setBackend(b)) continue;
+    for (std::size_t n = 0; n < k::kLanes; ++n) {
+      for (int trial = 0; trial < 200; ++trial) {
+        RandomSpan span = randomSpan(s, n);
+        for (float& g : span.gain) g = wideGain(s);
+        // Zero gains exercise the signed-zero corner of the lane sums.
+        if (n > 0 && trial % 7 == 0) span.gain[s.below(n)] = -0.0f;
+        EXPECT_EQ(k::shortSpanDeltaAdd(span.gain.data(), span.cov.data(), n),
+                  k::spanDeltaAdd(span.gain.data(), span.cov.data(), n))
+            << k::backendName() << ", n = " << n;
+        EXPECT_EQ(
+            k::shortSpanDeltaRemove(span.gain.data(), span.cov.data(), n),
+            k::spanDeltaRemove(span.gain.data(), span.cov.data(), n))
+            << k::backendName() << ", n = " << n;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "engine/options.hpp"
 #include "img/pnm_io.hpp"
 #include "img/synth.hpp"
+#include "obs/metrics.hpp"
 #include "serve/image_cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -927,6 +929,50 @@ TEST(Socket, TruncatedFrameIsBadFrame) {
       rawExchange(frontend.port(), "UPLOAD t 4 4 16\nABC");
   EXPECT_EQ(reply.rfind("ERR BAD_FRAME", 0), 0u) << reply;
   EXPECT_NE(reply.find("truncated"), std::string::npos) << reply;
+  frontend.stop();
+  server.shutdown(5.0);
+}
+
+TEST(Socket, EndlessLineIsCutOffWithLineTooLong) {
+  Server server(tinyServer());
+  SocketFrontend frontend(server, /*port=*/0);
+  obs::Counter& rejected = obs::Registry::global().counter(
+      "mcmcpar_serve_rejections_total",
+      "Connections the server cut off, by reason.",
+      {{"reason", "line_too_long"}});
+  const std::uint64_t before = rejected.value();
+
+  // 2 MiB without a newline: past the 1 MiB cap the server must answer and
+  // hang up instead of buffering and rescanning forever. It stops reading,
+  // so the tail of the send may fail once it closes.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(frontend.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const std::string chunk(64 * 1024, 'x');
+  for (std::size_t sent = 0; sent < (std::size_t{2} << 20);) {
+    const ssize_t n = ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string reply;
+  char c = 0;
+  while (::recv(fd, &c, 1, 0) == 1 && c != '\n') reply += c;
+  ::close(fd);
+  EXPECT_EQ(reply.rfind("ERR LINE_TOO_LONG", 0), 0u) << reply;
+  EXPECT_EQ(rejected.value(), before + 1);
+
+  // The handler that cut the line off does not take the server with it.
+  Client other;
+  other.connect("127.0.0.1", frontend.port(), 30.0);
+  EXPECT_EQ(other.request("PING"), "OK pong");
   frontend.stop();
   server.shutdown(5.0);
 }
