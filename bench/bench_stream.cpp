@@ -2,40 +2,30 @@
 // frame of a synthetic drifting-circles time-lapse, the iterations needed
 // to reach the detection band when the chain starts from the previous
 // frame's configuration vs. from scratch, plus the per-frame latency of
-// the streamed workload through stream::SequenceRunner.
+// the streamed workload through the "sequence" strategy.
 // Emits BENCH_stream.json (the artifact CI uploads).
 //
 //   bench_stream [--runs=N] [--seed=N] [--paper-scale] [--out=FILE]
 //     --runs=N   frames in the sequence (default 8; paper 16)
 //     --out=FILE JSON output path (default BENCH_stream.json)
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "analysis/metrics.hpp"
+#include "analysis/stats.hpp"
 #include "bench_common.hpp"
 #include "engine/registry.hpp"
 #include "par/virtual_clock.hpp"
-#include "stream/sequence.hpp"
 
 using namespace mcmcpar;
 
 namespace {
-
-double median(std::vector<double> values) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const std::size_t mid = values.size() / 2;
-  return values.size() % 2 != 0 ? values[mid]
-                                : 0.5 * (values[mid - 1] + values[mid]);
-}
 
 std::vector<model::Circle> toCircles(const std::vector<img::SceneCircle>& in) {
   std::vector<model::Circle> out;
@@ -109,7 +99,7 @@ int main(int argc, char** argv) {
 
   // --- warm vs cold iterations-to-band, frame by frame -------------------
   // Frame k's warm start is the converged configuration of frame k-1, the
-  // same hand-off SequenceRunner performs.
+  // same hand-off the "sequence" strategy performs.
   bool allOk = true;
   problem.filtered = &scenes[0].image;
   engine::RunReport previous =
@@ -125,7 +115,6 @@ int main(int argc, char** argv) {
     coldIters.push_back(iterationsToBand(eng, problem, truth));
 
     problem.warmStart = previous.circles;
-    problem.warmFreshFraction = 0.25;
     warmIters.push_back(iterationsToBand(eng, problem, truth));
     allOk &= warmIters.back() < kBandMiss;
 
@@ -140,30 +129,23 @@ int main(int argc, char** argv) {
 
   std::vector<double> coldD(coldIters.begin(), coldIters.end());
   std::vector<double> warmD(warmIters.begin(), warmIters.end());
-  const double coldMedian = median(coldD);
-  const double warmMedian = median(warmD);
+  const double coldMedian = analysis::summarise(coldD).median;
+  const double warmMedian = analysis::summarise(warmD).median;
   const double ratio = coldMedian > 0.0 ? warmMedian / coldMedian : 0.0;
   std::printf("\nmedian iterations-to-band: cold %.0f, warm %.0f "
               "(warm/cold %.2f)\n",
               coldMedian, warmMedian, ratio);
 
-  // --- streamed per-frame latency through SequenceRunner ------------------
-  stream::SequenceSpec spec;
+  // --- streamed per-frame latency through the "sequence" strategy --------
+  engine::Problem sequence = problem;
   for (std::size_t k = 0; k < scenes.size(); ++k) {
-    spec.frames.push_back(
-        {std::make_shared<img::ImageF>(scenes[k].image),
-         "synth." + std::to_string(k)});
+    sequence.frames.push_back({&scenes[k].image, "synth." + std::to_string(k)});
   }
-  spec.problem = problem;
-  spec.problem.filtered = spec.frames.front().image.get();
-  spec.budget = engine::RunBudget{2000, 0};
-
-  spec.warmStart = true;
+  const engine::RunBudget frameBudget{2000, 0};
   const engine::RunReport warmRun =
-      stream::SequenceRunner().run(spec, resources);
-  spec.warmStart = false;
+      eng.run("sequence", sequence, frameBudget, {}, {"warm-start=1"});
   const engine::RunReport coldRun =
-      stream::SequenceRunner().run(spec, resources);
+      eng.run("sequence", sequence, frameBudget, {}, {"warm-start=0"});
 
   const auto* warmExtras = std::get_if<stream::StreamReport>(&warmRun.extras);
   const auto* coldExtras = std::get_if<stream::StreamReport>(&coldRun.extras);

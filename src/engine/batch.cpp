@@ -258,6 +258,26 @@ double directiveDbl(const std::string& key, const std::string& value) {
   return parsed.dbl(key, 0.0);
 }
 
+/// Desugar a wrapper directive (@shard, @sequence): the job's strategy
+/// becomes the `wrapper` strategy's `strategy=` option, after the
+/// wrapper's own `options`, and every bare option is forwarded to it as
+/// `inner.<key>=<value>`.
+void wrapStrategy(ManifestEntry& entry, const std::string& directive,
+                  const std::string& wrapper,
+                  std::vector<std::string> options) {
+  if (entry.strategy == wrapper) {
+    throw EngineError("directive '" + directive +
+                      "' cannot be combined with the '" + wrapper +
+                      "' strategy; pass its options directly instead");
+  }
+  options.push_back("strategy=" + entry.strategy);
+  for (const std::string& option : entry.options) {
+    options.push_back("inner." + option);
+  }
+  entry.strategy = wrapper;
+  entry.options = std::move(options);
+}
+
 }  // namespace
 
 ManifestEntry parseManifestLine(const std::string& line) {
@@ -271,6 +291,7 @@ ManifestEntry parseManifestLine(const std::string& line) {
   }
   std::string shardTiles;
   std::optional<std::uint64_t> shardHalo;
+  std::vector<std::string> sequenceOptions;  ///< @warm-start, @track
   std::string token;
   while (tokens >> token) {
     if (token.front() != '@') {
@@ -351,10 +372,9 @@ ManifestEntry parseManifestLine(const std::string& line) {
             "directive '@sequence': expected a frame count or glob pattern");
       }
       entry.sequence = value;
-    } else if (key == "@warm-start") {
-      entry.warmStart = directiveU64(key, value) != 0;
-    } else if (key == "@track") {
-      entry.track = directiveU64(key, value) != 0;
+    } else if (key == "@warm-start" || key == "@track") {
+      sequenceOptions.push_back(key.substr(1) + "=" +
+                                (directiveU64(key, value) != 0 ? "1" : "0"));
     } else if (key == "@client") {
       std::string name = value;
       const std::size_t star = name.find('*');
@@ -397,33 +417,19 @@ ManifestEntry parseManifestLine(const std::string& line) {
   if (shardHalo && shardTiles.empty()) {
     throw EngineError("directive '@halo' requires '@shard=KxL'");
   }
-  if (entry.sequence.empty() && (entry.warmStart || entry.track)) {
+  if (entry.sequence.empty() && !sequenceOptions.empty()) {
     throw EngineError(
         "directives '@warm-start' and '@track' require '@sequence'");
   }
-  if (!entry.sequence.empty() && !shardTiles.empty()) {
-    throw EngineError(
-        "directive '@sequence' cannot be combined with '@shard'");
-  }
+  // Wrapper directives nest shard inside sequence: every frame of a
+  // `@sequence @shard` job is one sharded run (docs/PROTOCOL.md).
   if (!shardTiles.empty()) {
-    // Desugar into the shard coordinator: the named strategy becomes the
-    // inner per-tile one and bare options are forwarded to it, so one
-    // directive turns any job line into a sharded run (docs/PROTOCOL.md).
-    if (entry.strategy == "sharded") {
-      throw EngineError(
-          "directive '@shard' cannot be combined with the 'sharded' "
-          "strategy; pass tiles=KxL as a strategy option instead");
-    }
-    std::vector<std::string> options;
-    options.reserve(entry.options.size() + 3);
-    options.push_back("tiles=" + shardTiles);
+    std::vector<std::string> options{"tiles=" + shardTiles};
     if (shardHalo) options.push_back("halo=" + std::to_string(*shardHalo));
-    options.push_back("strategy=" + entry.strategy);
-    for (const std::string& option : entry.options) {
-      options.push_back("inner." + option);
-    }
-    entry.strategy = "sharded";
-    entry.options = std::move(options);
+    wrapStrategy(entry, "@shard", "sharded", std::move(options));
+  }
+  if (!entry.sequence.empty()) {
+    wrapStrategy(entry, "@sequence", "sequence", std::move(sequenceOptions));
   }
   return entry;
 }

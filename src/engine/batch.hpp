@@ -117,8 +117,8 @@ struct BatchResult {
 /// cancelled batch keeps every already-finished report intact.
 class BatchRunner {
  public:
-  /// `registry` defaults to the built-in six-strategy registry and is
-  /// borrowed (must outlive the runner).
+  /// `registry` defaults to the built-in registry (the eight strategies of
+  /// StrategyRegistry::builtin()) and is borrowed (must outlive the runner).
   explicit BatchRunner(const StrategyRegistry* registry = nullptr);
 
   /// Run the batch. Throws EngineError if any job names an unknown
@@ -151,11 +151,12 @@ class BatchRunner {
 /// go to the strategy. Blank lines and lines starting with '#' are skipped
 /// by the manifest reader.
 ///
-/// `@shard=KxL [@halo=N]` is grammar-level sugar making the job a shard
-/// coordinator: the parser rewrites the entry to the "sharded" strategy
-/// (local backend) with the named strategy as its inner one and every bare
-/// option forwarded as `inner.<key>=<value>` — so a served job can itself
-/// fan out across the serving layer's shared budget.
+/// `@shard=KxL [@halo=N]` and `@sequence=X [@warm-start=0|1] [@track=0|1]`
+/// are grammar-level sugar for the two wrapper strategies: the parser
+/// rewrites the entry to "sharded" (local backend) or "sequence" with the
+/// named strategy as its `strategy=` option and every bare option forwarded
+/// as `inner.<key>=<value>`. With both, @shard applies first, so each frame
+/// of the sequence is one sharded run.
 struct ManifestEntry {
   std::string image;     ///< PGM path, "synth", or an UPLOAD id (inline)
   std::string strategy;  ///< registry key
@@ -190,22 +191,14 @@ struct ManifestEntry {
   /// but not inserted, so single-use jobs don't evict warm entries.
   bool oneshot = false;
 
-  /// @sequence: non-empty makes the job a frame-sequence run
-  /// (stream::SequenceRunner) instead of a single image. A pure decimal
-  /// value N names N frames `<image>.0` .. `<image>.N-1` — UPLOAD ids
-  /// when combined with @image=inline, or a generated drifting scene when
-  /// the image token is "synth". Any other value is a filesystem glob
+  /// @sequence: the frame source of a "sequence" job (the parser has
+  /// already wrapped the strategy), resolved by the front-end. A pure
+  /// decimal value N names N frames `<image>.0` .. `<image>.N-1` — UPLOAD
+  /// ids when combined with @image=inline, or a generated drifting scene
+  /// when the image token is "synth". Any other value is a filesystem glob
   /// whose sorted matches are the frames (the image token is then only a
   /// display label). See docs/PROTOCOL.md.
   std::string sequence;
-
-  /// @warm-start=0|1 (sequence only; default on): seed frame N's chain
-  /// from frame N-1's final configuration.
-  std::optional<bool> warmStart;
-
-  /// @track=0|1 (sequence only; default on): assign stable object ids
-  /// across frames and report per-track lifetimes.
-  std::optional<bool> track;
 
   /// @client=NAME[*W]: the weighted-fair admission bucket this job bills
   /// against on the serving side (docs/PROTOCOL.md). NAME is 1-64 chars of

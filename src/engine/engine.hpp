@@ -32,6 +32,13 @@ namespace mcmcpar::engine {
 using mcmc::RunHooks;
 using mcmc::RunProgress;
 
+/// One frame of an ordered sequence: a borrowed image plus a display label
+/// (a path, an upload id, or "synth.<k>").
+struct Frame {
+  const img::ImageF* image = nullptr;
+  std::string label;
+};
+
 /// The task every strategy solves: find circular artifacts in a filtered
 /// intensity image under a circle prior and pixel likelihood. The image is
 /// borrowed and must outlive the Strategy.
@@ -51,12 +58,15 @@ struct Problem {
   /// build their state through the common seeding path (serial,
   /// speculative, periodic) commit these circles against the *current*
   /// image — re-scoring them under the new likelihood — and then add only
-  /// `warmFreshFraction` of the usual random initial circles so new
-  /// objects can still appear. Strategies with bespoke multi-state
-  /// initialisation (mc3, partition pipelines, sharded) ignore it.
+  /// a quarter of the usual random initial circles so new objects can
+  /// still appear. Strategies with bespoke multi-state initialisation (mc3,
+  /// partition pipelines, sharded) ignore it.
   std::vector<model::Circle> warmStart;
-  double warmFreshFraction = 0.25;  ///< fresh random seeds, as a fraction
-                                    ///< of the eq. 5 expected count
+
+  /// Ordered frames of a sequence, borrowed like `filtered`. Only the
+  /// "sequence" strategy reads them (every other strategy solves
+  /// `filtered`); when empty, its one frame is `filtered`.
+  std::vector<Frame> frames;
 };
 
 /// Execution resources shared by every strategy — the one place the
@@ -133,8 +143,8 @@ class StrategyRegistry;
 /// top of it, and examples/quickstart.cpp for the shortest path.
 class Engine {
  public:
-  /// `registry` defaults to the built-in six-strategy registry and is
-  /// borrowed (must outlive the Engine).
+  /// `registry` defaults to the built-in registry (the eight strategies of
+  /// StrategyRegistry::builtin()) and is borrowed (must outlive the Engine).
   explicit Engine(ExecResources resources = {},
                   const StrategyRegistry* registry = nullptr);
 

@@ -39,6 +39,26 @@ const StrategyInfo& StrategyRegistry::info(const std::string& name) const {
   return it->second;
 }
 
+InnerStrategy innerStrategy(const StrategyRegistry& registry,
+                            const std::string& wrapper,
+                            const OptionMap& options) {
+  InnerStrategy inner{options.str("strategy", "serial"), {}};
+  if (inner.name == wrapper) {
+    throw EngineError("strategy '" + wrapper + "': cannot wrap itself (" +
+                      "strategy=" + wrapper + ")");
+  }
+  for (const std::string& key : options.keysWithPrefix("inner.")) {
+    inner.options.push_back(key.substr(6) + "=" + options.str(key, ""));
+  }
+  try {
+    (void)registry.create(inner.name, ExecResources{}, inner.options);
+  } catch (const EngineError& e) {
+    throw EngineError("strategy '" + wrapper +
+                      "': inner strategy rejected: " + e.what());
+  }
+  return inner;
+}
+
 std::unique_ptr<Strategy> StrategyRegistry::create(
     const std::string& name, const ExecResources& resources,
     const std::vector<std::string>& options) const {

@@ -27,6 +27,24 @@ struct StrategyInfo {
       factory;
 };
 
+class StrategyRegistry;
+
+/// The inner strategy of a wrapper strategy ("sharded", "sequence"):
+/// `strategy=NAME` (default serial) with every `inner.K=V` option forwarded
+/// as K=V.
+struct InnerStrategy {
+  std::string name;
+  std::vector<std::string> options;
+};
+
+/// Read a wrapper's inner strategy from its options. A wrapper wrapping
+/// itself is rejected, and the inner strategy is created once here, so a
+/// bad name or option fails when the wrapper is created (at SUBMIT for a
+/// served job), not on its first run. Throws EngineError.
+[[nodiscard]] InnerStrategy innerStrategy(const StrategyRegistry& registry,
+                                          const std::string& wrapper,
+                                          const OptionMap& options);
+
 /// String-keyed strategy catalogue: the integration point for every
 /// front-end (CLI, benches, future server). New scenarios are selected by
 /// name, never by hand-wired setup code.
@@ -50,13 +68,16 @@ class StrategyRegistry {
       const std::string& name, const ExecResources& resources = {},
       const std::vector<std::string>& options = {}) const;
 
-  /// The built-in catalogue covering the paper's architectures:
+  /// The built-in catalogue: the paper's six architectures and the two
+  /// wrappers that run any of them (`strategy=NAME`, `inner.K=V`):
   ///   "serial"       §II-III  conventional RJ-MCMC baseline
   ///   "speculative"  §IV      speculative-moves executor
   ///   "mc3"          §IV      Metropolis-coupled MCMC
   ///   "periodic"     §V-VII   periodic partitioning
   ///   "blind"        §VIII-IX blind image partitioning + merge
   ///   "intelligent"  §VIII-IX intelligent image partitioning
+  ///   "sharded"      tiles one image, runs the inner strategy per tile
+  ///   "sequence"     runs the inner strategy frame by frame, warm-started
   [[nodiscard]] static const StrategyRegistry& builtin();
 
  private:

@@ -16,6 +16,7 @@
 #include "par/virtual_clock.hpp"
 #include "partition/prior_estimation.hpp"
 #include "shard/strategy.hpp"
+#include "stream/sequence.hpp"
 
 namespace mcmcpar::engine {
 
@@ -83,11 +84,15 @@ class StrategyBase : public Strategy {
     return static_cast<std::size_t>(std::llround(prior_.expectedCount));
   }
 
+  /// Fresh random circles on a warm-started state, as a fraction of the
+  /// eq. 5 expected count.
+  static constexpr double kWarmFreshFraction = 0.25;
+
   /// Whole-image chain state seeded from `stream`. With a warm start the
   /// carried circles are committed first — re-scoring them against *this*
-  /// problem's image — and only a fraction of the usual random circles are
-  /// added on top, so the chain starts near the previous posterior mode
-  /// while birth moves can still discover new objects.
+  /// problem's image — and only kWarmFreshFraction of the usual random
+  /// circles are added on top, so the chain starts near the previous
+  /// posterior mode while birth moves can still discover new objects.
   [[nodiscard]] model::ModelState makeState(rng::Stream& stream) const {
     model::ModelState state(*problem_.filtered, prior_, problem_.likelihood);
     if (problem_.warmStart.empty()) {
@@ -100,9 +105,8 @@ class StrategyBase : public Strategy {
       if (!state.discInDomain(c)) continue;
       (void)state.commitAdd(c);
     }
-    const double fraction = std::clamp(problem_.warmFreshFraction, 0.0, 1.0);
     const auto fresh = static_cast<std::size_t>(std::llround(
-        fraction * static_cast<double>(initialCircleCount())));
+        kWarmFreshFraction * static_cast<double>(initialCircleCount())));
     state.initialiseRandom(fresh, stream);
     return state;
   }
@@ -515,9 +519,11 @@ const StrategyRegistry& StrategyRegistry::builtin() {
                                                         opts,
                                                         /*blind=*/false);
             }});
-    // The sharding coordinator lives one layer up (src/shard: it composes
-    // BatchRunner and the serve client), so it registers itself.
+    // The two wrappers live one layer up (src/shard composes BatchRunner
+    // and the serve client, src/stream the Tracker), so they register
+    // themselves.
     shard::registerShardedStrategy(*r);
+    stream::registerSequenceStrategy(*r);
     return r;
   }();
   return *registry;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "engine/options.hpp"
+#include "stream/sequence.hpp"
 
 namespace mcmcpar::serve {
 
@@ -151,17 +152,12 @@ std::uint64_t JobQueue::nextEventSeq(std::uint64_t id) {
 }
 
 void JobQueue::recordFrame(std::uint64_t id, FrameMark mark) {
-  // A glob sequence can name arbitrarily many frames; keep only the most
-  // recent window so retained records stay small.
-  constexpr std::size_t kMaxFrameMarks = 4096;
   const std::scoped_lock lock(mutex_);
   const auto it = records_.find(id);
   if (it == records_.end()) return;
+  // Admission already holds a sequence to stream::kMaxFrames frames.
   std::vector<FrameMark>& marks = it->second.frameMarks;
-  if (marks.size() >= kMaxFrameMarks) {
-    marks.erase(marks.begin());
-  }
-  marks.push_back(mark);
+  if (marks.size() < stream::kMaxFrames) marks.push_back(mark);
 }
 
 std::vector<FrameMark> JobQueue::frameHistory(std::uint64_t id) const {

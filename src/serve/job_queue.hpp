@@ -151,7 +151,7 @@ class JobQueue {
   [[nodiscard]] std::uint64_t nextEventSeq(std::uint64_t id);
 
   /// Retain one emitted FRAME event so late subscribers can replay it.
-  /// Bounded per job (oldest dropped first); no-op for unknown ids.
+  /// At most stream::kMaxFrames per job; no-op for unknown ids.
   void recordFrame(std::uint64_t id, FrameMark mark);
 
   /// The retained FRAME events of a job, in emission (seq) order. Empty
@@ -209,7 +209,7 @@ class JobQueue {
     std::string error;
     engine::RunReport report;
     std::uint64_t eventSeq = 0;  ///< last event sequence number handed out
-    std::vector<FrameMark> frameMarks;  ///< retained FRAME events (bounded)
+    std::vector<FrameMark> frameMarks;  ///< retained FRAME events (capped)
     std::string client;                 ///< fairness bucket
     double queueSeconds = 0.0;          ///< admission -> dispatch
     double predictedCostSeconds = 0.0;  ///< DRR charge at admission

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <initializer_list>
 #include <thread>
 #include <utility>
@@ -40,11 +41,12 @@ Server::Server(ServerOptions options)
       budget_(options.threads),
       cache_(options.cacheBytes),
       queue_(options.retainJobs, options.maxQueued),
+      synthScene_(img::cellScene(options.synthWidth, options.synthHeight,
+                                 options.synthCells, options.radius,
+                                 options.seed)),
+      synthImage_(std::make_shared<const img::ImageF>(
+          img::generateScene(synthScene_).image)),
       started_(std::chrono::steady_clock::now()) {
-  img::Scene scene = img::generateScene(
-      img::cellScene(options_.synthWidth, options_.synthHeight,
-                     options_.synthCells, options_.radius, options_.seed));
-  synthImage_ = std::make_shared<const img::ImageF>(std::move(scene.image));
 
   unsigned workers = options_.maxConcurrentJobs != 0
                          ? options_.maxConcurrentJobs
@@ -93,8 +95,7 @@ bool hasOptionKey(const std::vector<std::string>& options,
   return false;
 }
 
-/// The job-level prior/count directives applied over the server defaults —
-/// shared by the single-image and sequence execution paths.
+/// The job-level prior/count directives applied over the server defaults.
 engine::Problem problemFor(const ServerOptions& options, const JobSpec& spec) {
   engine::Problem problem;
   // @radius overrides the server-wide prior knob (shard coordinators use
@@ -124,77 +125,6 @@ engine::RunBudget budgetFor(const ServerOptions& options,
 
 }  // namespace
 
-std::vector<stream::Frame> Server::resolveSequenceFrames(
-    const JobSpec& spec,
-    std::vector<std::shared_ptr<const img::ImageF>> inlineFrames) {
-  constexpr std::uint64_t kMaxSynthFrames = 4096;
-  std::vector<stream::Frame> frames;
-  const std::optional<std::uint64_t> count =
-      stream::parseFrameCount(spec.sequence);
-
-  if (spec.inlineImage) {
-    if (!count) {
-      throw engine::EngineError(
-          "@sequence with @image=inline requires a decimal frame count, "
-          "got '" +
-          spec.sequence + "'");
-    }
-    if (inlineFrames.size() != *count) {
-      throw engine::EngineError(
-          "@sequence=" + spec.sequence + " requires uploads '" + spec.image +
-          ".0' .. '" + spec.image + "." + std::to_string(*count - 1) +
-          "' on the submitting connection (docs/PROTOCOL.md Sequences)");
-    }
-    frames.reserve(inlineFrames.size());
-    for (std::size_t k = 0; k < inlineFrames.size(); ++k) {
-      frames.push_back(stream::Frame{std::move(inlineFrames[k]),
-                                     spec.image + "." + std::to_string(k)});
-    }
-    return frames;
-  }
-
-  if (count) {
-    if (spec.image != "synth") {
-      throw engine::EngineError(
-          "a decimal @sequence count requires @image=inline uploads or the "
-          "'synth' image; use a glob pattern for on-disk frames");
-    }
-    if (*count > kMaxSynthFrames) {
-      throw engine::EngineError("@sequence=" + spec.sequence +
-                                ": at most " +
-                                std::to_string(kMaxSynthFrames) +
-                                " synth frames per job");
-    }
-    // The served drifting scene: same geometry as the "synth" still, with
-    // circles moving deterministically from the server seed.
-    img::DriftSpec drift;
-    drift.scene =
-        img::cellScene(options_.synthWidth, options_.synthHeight,
-                       options_.synthCells, options_.radius, options_.seed);
-    drift.frames = static_cast<int>(*count);
-    std::vector<img::Scene> scenes = img::generateDriftingSequence(drift);
-    frames.reserve(scenes.size());
-    for (std::size_t k = 0; k < scenes.size(); ++k) {
-      frames.push_back(stream::Frame{
-          std::make_shared<const img::ImageF>(std::move(scenes[k].image)),
-          "synth." + std::to_string(k)});
-    }
-    return frames;
-  }
-
-  const std::vector<std::string> paths =
-      stream::expandFrameGlob(spec.sequence);
-  if (paths.empty()) {
-    throw engine::EngineError("@sequence glob '" + spec.sequence +
-                              "' matched no files");
-  }
-  frames.reserve(paths.size());
-  for (const std::string& path : paths) {
-    frames.push_back(stream::Frame{resolveImage(path, spec.oneshot), path});
-  }
-  return frames;
-}
-
 std::uint64_t Server::submit(
     const JobSpec& spec, std::shared_ptr<const img::ImageF> inlineImage,
     std::vector<std::shared_ptr<const img::ImageF>> inlineFrames) {
@@ -213,19 +143,41 @@ std::uint64_t Server::submit(
   // Resolve the image(s) and validate strategy + options at admission, so
   // a bad request fails the submitter with a descriptive error instead of
   // failing later on a worker thread.
-  std::vector<stream::Frame> frames;
-  if (!admitted.sequence.empty()) {
-    frames = resolveSequenceFrames(admitted, std::move(inlineFrames));
+  std::vector<stream::FrameImage> frames;
+  if (admitted.inlineImage && !admitted.sequence.empty()) {
+    // The front-end gathered uploads `<image>.0` .. `<image>.N-1`.
+    stream::requireFrameLimit(inlineFrames.size(), admitted.sequence);
+    if (stream::parseFrameCount(admitted.sequence) != inlineFrames.size()) {
+      throw engine::EngineError(
+          "@sequence=" + admitted.sequence +
+          " with @image=inline requires a decimal frame count N and "
+          "uploads '" +
+          admitted.image + ".0' .. '" + admitted.image +
+          ".<N-1>' on the submitting connection (docs/PROTOCOL.md "
+          "Sequences)");
+    }
+    for (std::size_t k = 0; k < inlineFrames.size(); ++k) {
+      frames.push_back({std::move(inlineFrames[k]),
+                        admitted.image + "." + std::to_string(k)});
+    }
+  } else if (!admitted.sequence.empty()) {
+    // A frame count on "synth" is the served drifting scene: the synth
+    // still's geometry, circles moving deterministically from the seed.
+    frames = stream::resolveFrames(
+        admitted.sequence, admitted.image == "synth" ? &synthScene_ : nullptr,
+        [this, oneshot = admitted.oneshot](const std::string& path) {
+          return resolveImage(path, oneshot);
+        });
   } else if (admitted.inlineImage) {
     if (inlineImage == nullptr) {
       throw engine::EngineError(
           "@image=inline requires a preceding UPLOAD '" + admitted.image +
           "' on the submitting connection (docs/PROTOCOL.md Binary frames)");
     }
-    frames.push_back(stream::Frame{std::move(inlineImage), admitted.image});
+    frames.push_back({std::move(inlineImage), admitted.image});
   } else {
-    frames.push_back(stream::Frame{
-        resolveImage(admitted.image, admitted.oneshot), admitted.image});
+    frames.push_back(
+        {resolveImage(admitted.image, admitted.oneshot), admitted.image});
   }
   (void)engine::StrategyRegistry::builtin().create(
       admitted.strategy, engine::ExecResources{}, admitted.options);
@@ -396,38 +348,6 @@ void Server::emit(JobEvent event) {
   for (const auto& [token, fn] : listeners_) fn(event);
 }
 
-engine::RunReport Server::runSequenceJob(std::uint64_t id,
-                                         const JobSpec& spec,
-                                         std::vector<stream::Frame> frames) {
-  stream::SequenceSpec sequence;
-  sequence.strategy = spec.strategy;
-  sequence.options = spec.options;
-  sequence.problem = problemFor(options_, spec);
-  sequence.budget = budgetFor(options_, spec);  // per frame
-  sequence.warmStart = spec.warmStart.value_or(true);
-  sequence.track = spec.track.value_or(true);
-  const std::size_t frameCount = frames.size();
-  sequence.frames = std::move(frames);
-
-  engine::ExecResources resources;
-  resources.threads = options_.threads;
-  resources.poolBudget = &budget_;
-  resources.seed =
-      spec.seed ? *spec.seed : engine::deriveJobSeed(options_.seed, id);
-
-  stream::SequenceHooks hooks;
-  hooks.cancelRequested = [this, id] { return queue_.cancelRequested(id); };
-  // One FRAME event per finished frame, never throttled — the per-frame
-  // stream IS the product of a sequence job. STATUS progress counts frames
-  // instead of iterations.
-  hooks.onFrame = [this, id, frameCount](const stream::FrameResult& frame,
-                                         const engine::RunReport&) {
-    queue_.progress(id, frame.index + 1, frameCount);
-    emit(JobEvent{JobEvent::Type::Frame, id, frame.index, frameCount});
-  };
-  return stream::SequenceRunner().run(sequence, resources, hooks);
-}
-
 void Server::workerLoop(const std::stop_token& stop) {
   while (!stop.stop_requested()) {
     const std::optional<std::uint64_t> next = queue_.waitNext(100ms);
@@ -453,7 +373,7 @@ void Server::workerLoop(const std::stop_token& stop) {
                      obs::latencyBuckets(), {{"client", dispatched->client}})
           .observe(dispatched->queueSeconds);
     }
-    std::vector<stream::Frame> frames;
+    std::vector<stream::FrameImage> frames;
     {
       const std::scoped_lock lock(imageMutex_);
       const auto it = jobImages_.find(id);
@@ -490,48 +410,50 @@ void Server::workerLoop(const std::stop_token& stop) {
             std::min(25u, options_.startDelayMs - slept)));
       }
 
-      if (!spec->sequence.empty()) {
-        try {
-          report = runSequenceJob(id, *spec, std::move(frames));
-        } catch (const std::exception& e) {
-          error = e.what();
+      engine::BatchJob job;
+      job.strategy = spec->strategy;
+      job.options = spec->options;
+      job.problem = problemFor(options_, *spec);
+      job.problem.filtered = frames.front().image.get();
+      for (const stream::FrameImage& frame : frames) {
+        job.problem.frames.push_back({frame.image.get(), frame.label});
+      }
+      job.budget = budgetFor(options_, *spec);
+      job.seed = spec->seed;
+
+      engine::ExecResources resources;
+      resources.threads = options_.threads;
+      resources.poolBudget = &budget_;
+      resources.seed = engine::deriveJobSeed(options_.seed, id);
+
+      engine::RunHooks hooks;
+      hooks.cancelRequested = [this, id] {
+        return queue_.cancelRequested(id);
+      };
+      // Record every beat (STATUS stays fine-grained). A sequence's
+      // "frame" beat becomes one FRAME event, never throttled — the
+      // per-frame stream IS the product of a sequence job. Other beats fan
+      // out only on decile changes, so hot strategies don't hammer
+      // listeners.
+      hooks.onProgress = [this, id,
+                          lastDecile = -1](const engine::RunProgress& p)
+          mutable {
+        queue_.progress(id, p.done, p.total);
+        if (std::strcmp(p.phase, "frame") == 0) {
+          emit(JobEvent{JobEvent::Type::Frame, id, p.done - 1, p.total});
+          return;
         }
-      } else {
-        engine::BatchJob job;
-        job.strategy = spec->strategy;
-        job.options = spec->options;
-        job.problem = problemFor(options_, *spec);
-        job.problem.filtered = frames.front().image.get();
-        job.budget = budgetFor(options_, *spec);
-        job.seed = spec->seed;
+        const int decile =
+            p.total == 0 ? -1 : static_cast<int>(10 * p.done / p.total);
+        if (decile == lastDecile) return;
+        lastDecile = decile;
+        emit(JobEvent{JobEvent::Type::Progress, id, p.done, p.total});
+      };
 
-        engine::ExecResources resources;
-        resources.threads = options_.threads;
-              resources.poolBudget = &budget_;
-        resources.seed = engine::deriveJobSeed(options_.seed, id);
-
-        engine::RunHooks hooks;
-        hooks.cancelRequested = [this, id] {
-          return queue_.cancelRequested(id);
-        };
-        // Record every beat (STATUS stays fine-grained) but fan events out
-        // only on decile changes, so hot strategies don't hammer listeners.
-        hooks.onProgress = [this, id,
-                            lastDecile = -1](const engine::RunProgress& p)
-            mutable {
-          queue_.progress(id, p.done, p.total);
-          const int decile =
-              p.total == 0 ? -1 : static_cast<int>(10 * p.done / p.total);
-          if (decile == lastDecile) return;
-          lastDecile = decile;
-          emit(JobEvent{JobEvent::Type::Progress, id, p.done, p.total});
-        };
-
-        try {
-          report = runner_.runOne(job, resources, hooks);
-        } catch (const std::exception& e) {
-          error = e.what();
-        }
+      try {
+        report = runner_.runOne(job, resources, hooks);
+      } catch (const std::exception& e) {
+        error = e.what();
       }
     } else {
       // Cancelled before it could start (or admission raced shutdown).

@@ -201,23 +201,18 @@ class Server {
   void collectMetrics(obs::Collection& out) const;
   [[nodiscard]] std::shared_ptr<const img::ImageF> resolveImage(
       const std::string& path, bool oneshot);
-  [[nodiscard]] std::vector<stream::Frame> resolveSequenceFrames(
-      const JobSpec& spec,
-      std::vector<std::shared_ptr<const img::ImageF>> inlineFrames);
-  [[nodiscard]] engine::RunReport runSequenceJob(
-      std::uint64_t id, const JobSpec& spec,
-      std::vector<stream::Frame> frames);
 
   ServerOptions options_;
   par::PoolBudget budget_;
   ImageCache cache_;
   JobQueue queue_;
   engine::BatchRunner runner_;
+  img::SceneSpec synthScene_;  ///< the "synth" still; frame 0 of its drift
   std::shared_ptr<const img::ImageF> synthImage_;
   std::chrono::steady_clock::time_point started_;
 
   std::mutex imageMutex_;  ///< pins job-id -> frame(s) while the job is alive
-  std::map<std::uint64_t, std::vector<stream::Frame>> jobImages_;
+  std::map<std::uint64_t, std::vector<stream::FrameImage>> jobImages_;
 
   // Emits take the lock shared (concurrent, non-blocking between workers);
   // subscribe/unsubscribe take it unique, making unsubscribe a barrier.

@@ -424,17 +424,12 @@ std::string SocketFrontend::dispatch(const std::string& line, int fd,
       std::vector<std::shared_ptr<const img::ImageF>> inlineFrames;
       if (entry.inlineImage && !entry.sequence.empty()) {
         // An inline sequence names its frames `<image>.0` .. `<image>.N-1`
-        // in this connection's upload namespace; gather them in order.
-        const std::optional<std::uint64_t> count =
-            stream::parseFrameCount(entry.sequence);
-        if (!count) {
-          return protocol::errLine(
-              protocol::kErrBadJob,
-              "@sequence with @image=inline requires a decimal frame "
-              "count, got '" +
-                  entry.sequence + "'");
-        }
-        for (std::uint64_t k = 0; k < *count; ++k) {
+        // in this connection's upload namespace; gather them in order (a
+        // non-decimal count gathers none, and the server rejects it).
+        const std::uint64_t count =
+            stream::parseFrameCount(entry.sequence).value_or(0);
+        stream::requireFrameLimit(count, entry.sequence);
+        for (std::uint64_t k = 0; k < count; ++k) {
           const std::string frameId =
               entry.image + "." + std::to_string(k);
           const auto it = state.uploads.find(frameId);

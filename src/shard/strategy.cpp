@@ -173,27 +173,8 @@ class ShardStrategy final : public engine::Strategy {
     pingTimeout_ = options.dbl("ping-timeout", 5.0);
     pingInterval_ = options.dbl("ping-interval", 30.0);
 
-    innerStrategy_ = options.str("strategy", "serial");
-    if (innerStrategy_ == name_) {
-      throw engine::EngineError("strategy '" + name_ +
-                                "': recursive sharding (strategy=" + name_ +
-                                ") is not supported");
-    }
-    for (const std::string& key : options.keysWithPrefix("inner.")) {
-      innerOptions_.push_back(key.substr(6) + "=" + options.str(key, ""));
-    }
+    inner_ = engine::innerStrategy(*registry_, name_, options);
     options.requireConsumed(name_);
-
-    // Fail a bad inner strategy or option at admission time, not on the
-    // first tile: the same early-validation contract the serve layer
-    // relies on for descriptive SUBMIT errors.
-    try {
-      (void)registry_->create(innerStrategy_, engine::ExecResources{},
-                              innerOptions_);
-    } catch (const engine::EngineError& e) {
-      throw engine::EngineError("strategy '" + name_ +
-                                "': inner strategy rejected: " + e.what());
-    }
   }
 
   [[nodiscard]] const std::string& name() const noexcept override {
@@ -335,6 +316,10 @@ class ShardStrategy final : public engine::Strategy {
                                             const TileSpec& tile) const {
     engine::Problem problem = problem_;
     problem.filtered = &crop;
+    // Tiles start cold, as remote tiles do: warm-start circles are in
+    // whole-image coordinates, and the socket backend never ships them.
+    problem.warmStart.clear();
+    problem.frames.clear();
     // With estimateCount on, each tile re-estimates its own expected count
     // from its crop (eq. 5). With it off, the caller's fixed whole-image
     // count must be scaled to the tile's area share — copying it verbatim
@@ -366,8 +351,8 @@ class ShardStrategy final : public engine::Strategy {
     std::uint64_t totalIters = 0;
     for (std::size_t i = 0; i < grid.tiles.size(); ++i) {
       engine::BatchJob job;
-      job.strategy = innerStrategy_;
-      job.options = innerOptions_;
+      job.strategy = inner_.name;
+      job.options = inner_.options;
       job.problem = tileProblem(crops[i], grid.tiles[i]);
       job.budget = engine::RunBudget{budgets[i], budget.traceInterval};
       job.label = tileLabel(grid.tiles[i]);
@@ -431,7 +416,7 @@ class ShardStrategy final : public engine::Strategy {
       const {
     const TileSpec& tile = grid.tiles[i];
     std::string line =
-        tileLabel(tile) + " " + innerStrategy_ +
+        tileLabel(tile) + " " + inner_.name +
         " @image=inline @iters=" + std::to_string(iters) + " @seed=" +
         std::to_string(engine::deriveJobSeed(resources_.seed, i)) +
         " @label=" + tileLabel(tile) +
@@ -450,7 +435,7 @@ class ShardStrategy final : public engine::Strategy {
     if (budget.traceInterval != 0) {
       line += " @trace=" + std::to_string(budget.traceInterval);
     }
-    for (const std::string& option : innerOptions_) line += " " + option;
+    for (const std::string& option : inner_.options) line += " " + option;
     return line;
   }
 
@@ -943,7 +928,7 @@ class ShardStrategy final : public engine::Strategy {
     shardReport.halo = grid.halo;
     shardReport.adaptive = grid.adaptive;
     shardReport.backend = socketBackend_ ? "socket" : "local";
-    shardReport.innerStrategy = innerStrategy_;
+    shardReport.innerStrategy = inner_.name;
     shardReport.haloDropped = stitched.haloDropped;
     shardReport.duplicatesRemoved = stitched.duplicatesRemoved;
     shardReport.requeues = requeues_;
@@ -1046,8 +1031,7 @@ class ShardStrategy final : public engine::Strategy {
   std::size_t endpointsDead_ = 0;  ///< dead endpoints at end of last run
   std::size_t hedgesIssued_ = 0;   ///< hedge replicas issued last run
   std::size_t hedgesWon_ = 0;      ///< hedge replicas that beat primaries
-  std::string innerStrategy_;
-  std::vector<std::string> innerOptions_;
+  engine::InnerStrategy inner_;
   engine::Problem problem_;
   model::PriorParams prior_;
   bool prepared_ = false;

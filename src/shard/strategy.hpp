@@ -10,8 +10,10 @@ namespace mcmcpar::shard {
 /// one image into overlapping tiles, fans them out as independent jobs
 /// (locally through engine::BatchRunner or remotely through serve::Client)
 /// and stitches the per-tile results back into one RunReport carrying a
-/// ShardReport. Called by StrategyRegistry::builtin(); also usable to
-/// extend a custom registry.
+/// ShardReport. Problem::warmStart is ignored: every tile starts cold, so
+/// each frame of a `sequence(strategy=sharded)` run is a plain sharded
+/// run. Called by StrategyRegistry::builtin(); also usable to extend a
+/// custom registry.
 ///
 /// Options (all `key=value`):
 ///   tiles=KxL        tile grid (default 2x2)

@@ -7,8 +7,8 @@
 
 /// Diagnostics types of the streaming frame-sequence subsystem. Kept free
 /// of engine dependencies so engine::RunReport can carry a StreamReport in
-/// its extras variant while the runner itself (stream/sequence.*) builds on
-/// top of the engine layer.
+/// its extras variant while the strategy itself (stream/sequence.*) builds
+/// on top of the engine layer.
 namespace mcmcpar::stream {
 
 /// Outcome of one frame of a sequence run.
@@ -37,9 +37,9 @@ struct TrackSummary {
   }
 };
 
-/// The aggregate outcome of a SequenceRunner run: per-frame results plus
-/// the tracker's per-object lifetimes. Carried as engine::RunReport::extras
-/// for sequence jobs.
+/// The aggregate outcome of a "sequence" strategy run: per-frame results
+/// plus the tracker's per-object lifetimes. Carried as
+/// engine::RunReport::extras.
 struct StreamReport {
   std::string innerStrategy;  ///< registry key run on each frame
   bool warmStart = true;      ///< frames N>0 seeded from frame N-1

@@ -7,9 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "engine/engine.hpp"
 #include "img/image.hpp"
-#include "stream/report.hpp"
+#include "img/synth.hpp"
 
 namespace mcmcpar::engine {
 class StrategyRegistry;
@@ -17,66 +16,57 @@ class StrategyRegistry;
 
 namespace mcmcpar::stream {
 
-/// One frame of a sequence: the image plus a display label (a path, an
-/// upload id, or "synth.<k>"). The image is shared so the serve layer can
-/// pin cache entries for the duration of a job.
-struct Frame {
+/// Register the "sequence" strategy: a wrapper that runs the ordered frames
+/// of engine::Problem::frames (just `filtered` when the list is empty)
+/// through one inner registry strategy. Frame K runs under seed
+/// engine::deriveJobSeed(seed, K), so one (seed, frames) pair is one
+/// reproducible unit whatever the inner strategy. With warm starts on,
+/// frame K starts from frame K-1's final circles (Problem::warmStart);
+/// inner strategies that ignore warm starts (mc3, blind, intelligent,
+/// sharded) run every frame cold. A Tracker gives objects stable ids
+/// across frames. After each frame the strategy sends one progress beat
+/// with phase "frame" (done = K+1, total = frame count); the inner
+/// strategy's own beats are not forwarded. The report carries the last
+/// frame's circles and logPosterior, the summed iterations, and a
+/// StreamReport in `extras`. Called by StrategyRegistry::builtin(); also
+/// usable to extend a custom registry.
+///
+/// Options (all `key=value`):
+///   strategy=NAME    inner per-frame strategy (default serial; "sequence"
+///                    itself is rejected — no nested sequences)
+///   inner.K=V        forwarded to the inner strategy as K=V
+///   warm-start=0|1   seed frame K from frame K-1's circles (default 1)
+///   track=0|1        run the cross-frame Tracker (default 1)
+void registerSequenceStrategy(engine::StrategyRegistry& registry);
+
+/// Most frames one sequence may name, whatever the source: a frame count,
+/// a glob, or inline uploads.
+inline constexpr std::uint64_t kMaxFrames = 4096;
+
+/// Throws engine::EngineError when a sequence names more than kMaxFrames
+/// frames. `sequence` is the value as written, for the message.
+void requireFrameLimit(std::uint64_t count, const std::string& sequence);
+
+/// One resolved frame: the image, shared so a server can pin cache entries
+/// for the lifetime of a job, and its display label.
+struct FrameImage {
   std::shared_ptr<const img::ImageF> image;
   std::string label;
 };
 
-/// What to run over an ordered frame sequence.
-struct SequenceSpec {
-  std::vector<Frame> frames;
-  std::string strategy = "serial";   ///< registry key run on each frame
-  std::vector<std::string> options;  ///< strategy key=value options
-  /// Problem template: prior/likelihood/moves/theta apply to every frame;
-  /// `filtered` and `warmStart` are overwritten per frame.
-  engine::Problem problem;
-  engine::RunBudget budget;  ///< per-frame budget
-  bool warmStart = true;     ///< seed frame N from frame N-1's circles
-  /// Fresh random initial circles on warm-started frames, as a fraction of
-  /// the eq. 5 expected count (lets new objects enter the scene).
-  double freshFraction = 0.25;
-  bool track = true;          ///< run the cross-frame Tracker
-  double trackMinIoU = 0.25;  ///< IoU gate for track association
-};
+/// Reads one on-disk frame (an image cache lookup, or img::readPgm).
+using FrameLoader =
+    std::function<std::shared_ptr<const img::ImageF>(const std::string& path)>;
 
-/// Observer callbacks for a sequence run.
-struct SequenceHooks {
-  /// Fired after each frame completes, with the per-frame summary and that
-  /// frame's full engine report.
-  std::function<void(const FrameResult&, const engine::RunReport&)> onFrame;
-  /// Polled between frames and threaded into each frame's run, so a cancel
-  /// lands mid-frame, not just at frame boundaries.
-  std::function<bool()> cancelRequested;
-};
-
-/// Runs an ordered frame sequence through one registry strategy,
-/// warm-starting each frame's chain from the previous frame's final
-/// configuration and tracking objects across frames. Deliberately NOT a
-/// registry strategy itself: a sequence is a workload over many images,
-/// while a Strategy solves one image — the registry contract (one
-/// `prepare(problem)` with one `filtered` image) cannot express it.
-class SequenceRunner {
- public:
-  /// `registry` defaults to the built-in catalogue and is borrowed.
-  explicit SequenceRunner(const engine::StrategyRegistry* registry = nullptr)
-      : registry_(registry) {}
-
-  /// Run the whole sequence. Frame K's seed is
-  /// engine::deriveJobSeed(resources.seed, K), so one (seed, frames) pair
-  /// is one reproducible unit regardless of strategy. The returned report
-  /// carries the last frame's circles/logPosterior, summed iterations, and
-  /// a stream::StreamReport in `extras`. Throws engine::EngineError on an
-  /// empty sequence, a null frame image, or an unknown strategy.
-  [[nodiscard]] engine::RunReport run(const SequenceSpec& spec,
-                                      const engine::ExecResources& resources,
-                                      const SequenceHooks& hooks = {}) const;
-
- private:
-  const engine::StrategyRegistry* registry_;
-};
+/// Resolve a `@sequence=` / `--sequence` value into its frames. A decimal
+/// count N generates N drifting frames of `synth` (labels "synth.<k>") and
+/// is an error when `synth` is null. Any other value is a glob whose sorted
+/// matches are read through `load` (labels are the paths). Either source
+/// is held to kMaxFrames before any frame is generated or read. Throws
+/// engine::EngineError; `load` may throw its own errors.
+[[nodiscard]] std::vector<FrameImage> resolveFrames(
+    const std::string& sequence, const img::SceneSpec* synth,
+    const FrameLoader& load);
 
 /// Parse the `@sequence=N` form: a pure decimal frame count >= 1. Returns
 /// nullopt for anything else (which is then treated as a glob pattern).

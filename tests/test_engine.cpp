@@ -91,13 +91,14 @@ TEST(OptionMap, RejectsIllTypedValues) {
 
 TEST(StrategyRegistry, BuiltinContainsEveryArchitecture) {
   const StrategyRegistry& registry = StrategyRegistry::builtin();
-  // The paper's six, plus the sharding coordinator built on top of them.
+  // The paper's six, plus the two wrappers built on top of them: the
+  // sharding coordinator and the frame sequence.
   for (const char* name : {"serial", "speculative", "mc3", "periodic", "blind",
-                           "intelligent", "sharded"}) {
+                           "intelligent", "sharded", "sequence"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
     EXPECT_TRUE(registry.info(name).factory != nullptr) << name;
   }
-  EXPECT_EQ(registry.names().size(), 7u);
+  EXPECT_EQ(registry.names().size(), 8u);
 }
 
 TEST(StrategyRegistry, UnknownNameErrorListsRegisteredStrategies) {
@@ -208,6 +209,8 @@ TEST(EngineRoundTrip, ExtrasVariantMatchesTheRegistryContract) {
   EXPECT_TRUE(holds("periodic", core::PeriodicReport{}));
   EXPECT_TRUE(holds("blind", core::PipelineReport{}));
   EXPECT_TRUE(holds("intelligent", core::PipelineReport{}));
+  EXPECT_TRUE(holds("sharded", shard::ShardReport{}));
+  EXPECT_TRUE(holds("sequence", stream::StreamReport{}));
 }
 
 TEST(EngineRoundTrip, StrategyOptionsReachTheDriver) {
@@ -308,6 +311,8 @@ const std::vector<LeasedRun>& parallelStrategies() {
       {"periodic", {"executor=split-merge"}},
       {"intelligent", {}},
       {"blind", {}},
+      // The wrapper hands its lease to the inner strategy, frame by frame.
+      {"sequence", {"strategy=speculative"}},
   };
   return runs;
 }

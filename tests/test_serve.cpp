@@ -723,6 +723,23 @@ TEST_F(SocketFixture, InlineUploadedSequenceRunsEndToEnd) {
             0u);
 }
 
+TEST_F(SocketFixture, OversizedSequenceGlobIsRejectedBeforeAnyFrameIsRead) {
+  // Empty files would fail to decode: an error that names the frame limit
+  // and an untouched cache show that none was read.
+  const TempDir dir;
+  for (std::uint64_t k = 0; k <= stream::kMaxFrames; ++k) {
+    std::ofstream(dir.path / ("f" + std::to_string(k) + ".pgm"));
+  }
+  const std::string reply = client.request(
+      "SUBMIT frames serial @sequence=" + (dir.path / "f*.pgm").string());
+  EXPECT_EQ(reply.rfind("ERR BAD_JOB", 0), 0u) << reply;
+  EXPECT_NE(reply.find("at most " + std::to_string(stream::kMaxFrames)),
+            std::string::npos)
+      << reply;
+  EXPECT_EQ(server->stats().cache.misses, 0u);
+  EXPECT_EQ(server->stats().cache.entries, 0u);
+}
+
 TEST_F(SocketFixture, ShutdownCommandFiresTheCallbackAndRejectsNewJobs) {
   EXPECT_EQ(client.request("SHUTDOWN"), "OK draining");
   EXPECT_TRUE(waitFor([&] { return shutdownRequested.load(); }));

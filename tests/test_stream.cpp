@@ -1,9 +1,10 @@
 // The streaming frame-sequence subsystem (src/stream): disc-IoU matching,
 // the deterministic cross-frame Tracker, the synthetic drifting-circles
-// generator, SequenceRunner determinism and cancellation, the @sequence /
-// @warm-start / @track manifest directives, and the warm-start acceptance
-// band — a warm-started frame must reach the detection band in at most
-// half the iterations a cold start needs.
+// generator, frame resolution and its cap, the "sequence" strategy
+// (determinism, cancellation, bit-identity with a hand-written per-frame
+// hand-off), the @sequence / @warm-start / @track manifest directives, and
+// the warm-start acceptance band — a warm-started frame must reach the
+// detection band in at most half the iterations a cold start needs.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -234,24 +235,89 @@ TEST(FrameHelpers, GlobExpandsSortedAndPassesPlainPathsThrough) {
   fs::remove_all(dir);
 }
 
+TEST(FrameHelpers, ResolveFramesGeneratesSynthFramesAndLoadsGlobs) {
+  const img::SceneSpec scene = img::cellScene(48, 48, 2, 8.0, 5);
+  const stream::FrameLoader noDisk = [](const std::string& path)
+      -> std::shared_ptr<const img::ImageF> {
+    ADD_FAILURE() << "unexpected read of " << path;
+    return nullptr;
+  };
+  const std::vector<stream::FrameImage> synth =
+      stream::resolveFrames("3", &scene, noDisk);
+  ASSERT_EQ(synth.size(), 3u);
+  EXPECT_EQ(synth[2].label, "synth.2");
+  EXPECT_EQ(synth[0].image->pixels(), img::generateScene(scene).image.pixels());
+  // A count names generated frames: without a scene it is an error.
+  EXPECT_THROW((void)stream::resolveFrames("3", nullptr, noDisk),
+               engine::EngineError);
+
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("mcmcpar_stream_resolve_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  for (const char* name : {"b.pgm", "a.pgm"}) std::ofstream(dir / name) << "x";
+  std::vector<std::string> loaded;
+  const std::vector<stream::FrameImage> globbed = stream::resolveFrames(
+      (dir / "*.pgm").string(), &scene, [&](const std::string& path) {
+        loaded.push_back(path);
+        return synth[0].image;
+      });
+  ASSERT_EQ(globbed.size(), 2u);
+  EXPECT_EQ(fs::path(globbed[0].label).filename(), "a.pgm");
+  EXPECT_EQ(loaded.size(), 2u);
+  EXPECT_THROW(
+      (void)stream::resolveFrames((dir / "*.none").string(), &scene, noDisk),
+      engine::EngineError);
+  fs::remove_all(dir);
+}
+
+TEST(FrameHelpers, EveryFrameSourceIsCappedBeforeAnyFrameIsRead) {
+  const img::SceneSpec scene = img::cellScene(48, 48, 2, 8.0, 5);
+  const stream::FrameLoader noDisk = [](const std::string& path)
+      -> std::shared_ptr<const img::ImageF> {
+    ADD_FAILURE() << "unexpected read of " << path;
+    return nullptr;
+  };
+  EXPECT_NO_THROW(stream::requireFrameLimit(stream::kMaxFrames, "n"));
+  EXPECT_THROW(stream::requireFrameLimit(stream::kMaxFrames + 1, "n"),
+               engine::EngineError);
+  EXPECT_THROW((void)stream::resolveFrames(
+                   std::to_string(stream::kMaxFrames + 1), &scene, noDisk),
+               engine::EngineError);
+
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("mcmcpar_stream_cap_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  for (std::uint64_t k = 0; k <= stream::kMaxFrames; ++k) {
+    std::ofstream(dir / ("f" + std::to_string(k) + ".pgm"));
+  }
+  EXPECT_THROW(
+      (void)stream::resolveFrames((dir / "f*.pgm").string(), &scene, noDisk),
+      engine::EngineError);
+  fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Manifest directives
 // ---------------------------------------------------------------------------
 
 TEST(Manifest, SequenceDirectivesParse) {
+  // @sequence wraps the job's strategy like @shard does; @warm-start and
+  // @track become options of the "sequence" strategy.
   const engine::ManifestEntry entry = engine::parseManifestLine(
       "synth serial @sequence=8 @warm-start=1 @track=0 @iters=500");
   EXPECT_EQ(entry.sequence, "8");
-  ASSERT_TRUE(entry.warmStart.has_value());
-  EXPECT_TRUE(*entry.warmStart);
-  ASSERT_TRUE(entry.track.has_value());
-  EXPECT_FALSE(*entry.track);
+  EXPECT_EQ(entry.strategy, "sequence");
+  EXPECT_EQ(entry.options, (std::vector<std::string>{
+                               "warm-start=1", "track=0", "strategy=serial"}));
 
-  const engine::ManifestEntry glob =
-      engine::parseManifestLine("frames/*.pgm serial @sequence=frames/*.pgm");
+  const engine::ManifestEntry glob = engine::parseManifestLine(
+      "frames/*.pgm speculative @sequence=frames/*.pgm lanes=2");
   EXPECT_EQ(glob.sequence, "frames/*.pgm");
-  EXPECT_FALSE(glob.warmStart.has_value());
-  EXPECT_FALSE(glob.track.has_value());
+  EXPECT_EQ(glob.strategy, "sequence");
+  EXPECT_EQ(glob.options, (std::vector<std::string>{"strategy=speculative",
+                                                    "inner.lanes=2"}));
 }
 
 TEST(Manifest, SequenceDirectiveValidation) {
@@ -260,145 +326,267 @@ TEST(Manifest, SequenceDirectiveValidation) {
                engine::EngineError);
   EXPECT_THROW((void)engine::parseManifestLine("synth serial @track=0"),
                engine::EngineError);
-  // A sequence cannot also be sharded.
+  // A sequence of sequences is not a thing.
   EXPECT_THROW(
-      (void)engine::parseManifestLine("synth serial @sequence=4 @shard=2x2"),
+      (void)engine::parseManifestLine("synth sequence @sequence=4"),
       engine::EngineError);
   // An empty value is malformed.
   EXPECT_THROW((void)engine::parseManifestLine("synth serial @sequence="),
                engine::EngineError);
 }
 
+TEST(Manifest, ShardNestsInsideSequence) {
+  const engine::ManifestEntry entry = engine::parseManifestLine(
+      "synth mc3 @sequence=2 @shard=2x1 @halo=4 @track=0 chains=2");
+  EXPECT_EQ(entry.strategy, "sequence");
+  EXPECT_EQ(entry.options,
+            (std::vector<std::string>{"track=0", "strategy=sharded",
+                                      "inner.tiles=2x1", "inner.halo=4",
+                                      "inner.strategy=mc3",
+                                      "inner.inner.chains=2"}));
+  // The nested options are valid all the way down.
+  EXPECT_NO_THROW((void)engine::StrategyRegistry::builtin().create(
+      entry.strategy, {}, entry.options));
+}
+
 // ---------------------------------------------------------------------------
-// SequenceRunner
+// The "sequence" strategy
 // ---------------------------------------------------------------------------
 
-stream::SequenceSpec synthSequence(int frames, std::uint64_t seed,
-                                   std::uint64_t iters, int size = 64,
-                                   int cells = 4) {
+/// A drifting synthetic sequence and a problem whose frames borrow it.
+struct SynthSequence {
+  std::vector<img::Scene> scenes;
+  engine::Problem problem;
+};
+
+SynthSequence synthSequence(int frames, std::uint64_t seed, int size = 64,
+                            int cells = 4) {
   img::DriftSpec drift;
   drift.scene = img::cellScene(size, size, cells, 8.0, seed);
   drift.frames = frames;
-  std::vector<img::Scene> scenes = img::generateDriftingSequence(drift);
-
-  stream::SequenceSpec spec;
-  for (std::size_t k = 0; k < scenes.size(); ++k) {
-    spec.frames.push_back(
-        {std::make_shared<img::ImageF>(std::move(scenes[k].image)),
-         "synth." + std::to_string(k)});
+  SynthSequence out;
+  out.scenes = img::generateDriftingSequence(drift);
+  for (std::size_t k = 0; k < out.scenes.size(); ++k) {
+    out.problem.frames.push_back(
+        {&out.scenes[k].image, "synth." + std::to_string(k)});
   }
-  spec.problem.filtered = spec.frames.front().image.get();
-  spec.problem.prior.radiusMean = 8.0;
-  spec.problem.prior.radiusStd = 1.0;
-  spec.problem.prior.radiusMin = 4.0;
-  spec.problem.prior.radiusMax = 14.0;
-  spec.budget = engine::RunBudget{iters, 0};
-  return spec;
+  out.problem.prior.radiusMean = 8.0;
+  out.problem.prior.radiusStd = 1.0;
+  out.problem.prior.radiusMin = 4.0;
+  out.problem.prior.radiusMax = 14.0;
+  return out;
 }
 
-TEST(SequenceRunner, RunsEveryFrameAndCarriesWarmStarts) {
-  const stream::SequenceSpec spec = synthSequence(3, 21, 800);
-  engine::ExecResources resources;
-  resources.threads = 1;
-  resources.seed = 5;
+const stream::StreamReport& streamOf(const engine::RunReport& report) {
+  return std::get<stream::StreamReport>(report.extras);
+}
 
-  std::vector<std::size_t> seenFrames;
-  stream::SequenceHooks hooks;
-  hooks.onFrame = [&](const stream::FrameResult& frame,
-                      const engine::RunReport&) {
-    seenFrames.push_back(frame.index);
+TEST(SequenceStrategy, RunsEveryFrameAndCarriesWarmStarts) {
+  const SynthSequence seq = synthSequence(3, 21);
+  const engine::Engine eng(engine::ExecResources{.threads = 1, .seed = 5});
+
+  std::vector<std::uint64_t> seenFrames;
+  engine::RunHooks hooks;
+  hooks.onProgress = [&](const engine::RunProgress& p) {
+    EXPECT_STREQ(p.phase, "frame");
+    EXPECT_EQ(p.total, 3u);
+    seenFrames.push_back(p.done);
   };
 
-  const engine::RunReport report =
-      stream::SequenceRunner().run(spec, resources, hooks);
-  const auto* extras = std::get_if<stream::StreamReport>(&report.extras);
-  ASSERT_NE(extras, nullptr);
-  ASSERT_EQ(extras->perFrame.size(), 3u);
-  EXPECT_EQ(extras->frameCount, 3u);
-  EXPECT_EQ(seenFrames, (std::vector<std::size_t>{0, 1, 2}));
+  const engine::RunReport report = eng.run(
+      "sequence", seq.problem, engine::RunBudget{800, 0}, hooks, {});
+  EXPECT_EQ(report.strategy, "sequence");
+  const stream::StreamReport& extras = streamOf(report);
+  ASSERT_EQ(extras.perFrame.size(), 3u);
+  EXPECT_EQ(extras.frameCount, 3u);
+  EXPECT_EQ(extras.innerStrategy, "serial");
+  EXPECT_EQ(seenFrames, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_EQ(report.iterations, 3u * 800u);
   EXPECT_FALSE(report.cancelled);
 
   // Frame 0 is cold; later frames carry the previous frame's detections.
-  EXPECT_EQ(extras->perFrame[0].carried, 0u);
-  EXPECT_EQ(extras->perFrame[1].carried, extras->perFrame[0].circles);
-  EXPECT_EQ(extras->perFrame[2].carried, extras->perFrame[1].circles);
-  EXPECT_FALSE(extras->tracks.empty());
+  EXPECT_EQ(extras.perFrame[0].carried, 0u);
+  EXPECT_EQ(extras.perFrame[1].carried, extras.perFrame[0].circles);
+  EXPECT_EQ(extras.perFrame[2].carried, extras.perFrame[1].circles);
+  EXPECT_FALSE(extras.tracks.empty());
 }
 
-TEST(SequenceRunner, SameSeedSameFramesIsBitIdentical) {
-  engine::ExecResources resources;
-  resources.threads = 1;
-  resources.seed = 17;
+TEST(SequenceStrategy, SameSeedSameFramesIsBitIdentical) {
+  const engine::Engine eng(engine::ExecResources{.threads = 1, .seed = 17});
+  const auto run = [&] {
+    return eng.run("sequence", synthSequence(4, 13).problem,
+                   engine::RunBudget{600, 0}, {}, {});
+  };
+  const engine::RunReport a = run();
+  const engine::RunReport b = run();
 
-  const engine::RunReport a =
-      stream::SequenceRunner().run(synthSequence(4, 13, 600), resources);
-  const engine::RunReport b =
-      stream::SequenceRunner().run(synthSequence(4, 13, 600), resources);
-
-  const auto* ea = std::get_if<stream::StreamReport>(&a.extras);
-  const auto* eb = std::get_if<stream::StreamReport>(&b.extras);
-  ASSERT_NE(ea, nullptr);
-  ASSERT_NE(eb, nullptr);
-  ASSERT_EQ(ea->perFrame.size(), eb->perFrame.size());
-  for (std::size_t k = 0; k < ea->perFrame.size(); ++k) {
-    EXPECT_EQ(ea->perFrame[k].iterations, eb->perFrame[k].iterations);
-    EXPECT_EQ(ea->perFrame[k].circles, eb->perFrame[k].circles);
-    EXPECT_EQ(ea->perFrame[k].carried, eb->perFrame[k].carried);
+  const stream::StreamReport& ea = streamOf(a);
+  const stream::StreamReport& eb = streamOf(b);
+  ASSERT_EQ(ea.perFrame.size(), eb.perFrame.size());
+  for (std::size_t k = 0; k < ea.perFrame.size(); ++k) {
+    EXPECT_EQ(ea.perFrame[k].iterations, eb.perFrame[k].iterations);
+    EXPECT_EQ(ea.perFrame[k].circles, eb.perFrame[k].circles);
+    EXPECT_EQ(ea.perFrame[k].carried, eb.perFrame[k].carried);
     // Bit-identical chains, not just statistically similar.
-    EXPECT_EQ(ea->perFrame[k].logPosterior, eb->perFrame[k].logPosterior);
-    EXPECT_EQ(ea->perFrame[k].acceptanceRate, eb->perFrame[k].acceptanceRate);
+    EXPECT_EQ(ea.perFrame[k].logPosterior, eb.perFrame[k].logPosterior);
+    EXPECT_EQ(ea.perFrame[k].acceptanceRate, eb.perFrame[k].acceptanceRate);
   }
-  ASSERT_EQ(a.circles.size(), b.circles.size());
-  for (std::size_t i = 0; i < a.circles.size(); ++i) {
-    EXPECT_EQ(a.circles[i].x, b.circles[i].x);
-    EXPECT_EQ(a.circles[i].y, b.circles[i].y);
-    EXPECT_EQ(a.circles[i].r, b.circles[i].r);
-  }
-  ASSERT_EQ(ea->tracks.size(), eb->tracks.size());
-  for (std::size_t i = 0; i < ea->tracks.size(); ++i) {
-    EXPECT_EQ(ea->tracks[i].id, eb->tracks[i].id);
-    EXPECT_EQ(ea->tracks[i].firstFrame, eb->tracks[i].firstFrame);
-    EXPECT_EQ(ea->tracks[i].lastFrame, eb->tracks[i].lastFrame);
+  EXPECT_EQ(a.circles, b.circles);
+  ASSERT_EQ(ea.tracks.size(), eb.tracks.size());
+  for (std::size_t i = 0; i < ea.tracks.size(); ++i) {
+    EXPECT_EQ(ea.tracks[i].id, eb.tracks[i].id);
+    EXPECT_EQ(ea.tracks[i].firstFrame, eb.tracks[i].firstFrame);
+    EXPECT_EQ(ea.tracks[i].lastFrame, eb.tracks[i].lastFrame);
   }
 }
 
-TEST(SequenceRunner, CancelBetweenFramesStopsTheSequence) {
-  const stream::SequenceSpec spec = synthSequence(6, 23, 400);
-  engine::ExecResources resources;
-  resources.threads = 1;
+TEST(SequenceStrategy, CancelBetweenFramesStopsTheSequence) {
+  const SynthSequence seq = synthSequence(6, 23);
+  const engine::Engine eng(engine::ExecResources{.threads = 1});
 
   std::size_t framesDone = 0;
-  stream::SequenceHooks hooks;
-  hooks.onFrame = [&](const stream::FrameResult&, const engine::RunReport&) {
-    ++framesDone;
-  };
+  engine::RunHooks hooks;
+  hooks.onProgress = [&](const engine::RunProgress&) { ++framesDone; };
   hooks.cancelRequested = [&] { return framesDone >= 2; };
 
-  const engine::RunReport report =
-      stream::SequenceRunner().run(spec, resources, hooks);
+  const engine::RunReport report = eng.run(
+      "sequence", seq.problem, engine::RunBudget{400, 0}, hooks, {});
   EXPECT_TRUE(report.cancelled);
-  const auto* extras = std::get_if<stream::StreamReport>(&report.extras);
-  ASSERT_NE(extras, nullptr);
-  EXPECT_LT(extras->perFrame.size(), 6u);
-  EXPECT_GE(extras->perFrame.size(), 2u);
+  const stream::StreamReport& extras = streamOf(report);
+  EXPECT_LT(extras.perFrame.size(), 6u);
+  EXPECT_GE(extras.perFrame.size(), 2u);
 }
 
-TEST(SequenceRunner, RejectsEmptyAndUnknownInputs) {
-  engine::ExecResources resources;
-  stream::SequenceSpec empty;
-  EXPECT_THROW((void)stream::SequenceRunner().run(empty, resources),
+TEST(SequenceStrategy, RejectsEmptyAndUnknownInputs) {
+  const engine::StrategyRegistry& registry =
+      engine::StrategyRegistry::builtin();
+  // No frames and no image.
+  EXPECT_THROW(registry.create("sequence")->prepare(engine::Problem{}),
+               engine::EngineError);
+  // Unknown inner strategy, bad inner option, nested sequence, unknown
+  // option: all fail at construction (SUBMIT time for a served job).
+  EXPECT_THROW((void)registry.create("sequence", {}, {"strategy=warp"}),
+               engine::EngineError);
+  EXPECT_THROW((void)registry.create("sequence", {}, {"inner.lanes=4"}),
+               engine::EngineError);
+  EXPECT_THROW((void)registry.create("sequence", {}, {"strategy=sequence"}),
+               engine::EngineError);
+  EXPECT_THROW((void)registry.create("sequence", {}, {"tiles=2x2"}),
                engine::EngineError);
 
-  stream::SequenceSpec bogus = synthSequence(2, 3, 100);
-  bogus.strategy = "warp";
-  EXPECT_THROW((void)stream::SequenceRunner().run(bogus, resources),
+  SynthSequence nullFrame = synthSequence(2, 3);
+  nullFrame.problem.frames[1].image = nullptr;
+  EXPECT_THROW(registry.create("sequence")->prepare(nullFrame.problem),
                engine::EngineError);
+}
 
-  stream::SequenceSpec nullFrame = synthSequence(2, 3, 100);
-  nullFrame.frames[1].image = nullptr;
-  EXPECT_THROW((void)stream::SequenceRunner().run(nullFrame, resources),
-               engine::EngineError);
+struct HandoffCase {
+  const char* inner;
+  unsigned threads;
+  bool warm;
+};
+
+// The per-frame hand-off written out by hand: frame K runs the inner
+// strategy alone with seed deriveJobSeed(seed, K) and frame K-1's circles
+// as its warm start. The strategy must match it bit for bit.
+TEST(SequenceStrategy, MatchesAHandWrittenPerFrameHandoff) {
+  constexpr int kFrames = 3;
+  constexpr std::uint64_t kSeed = 29;
+  const engine::RunBudget budget{700, 0};
+  for (const HandoffCase c : {HandoffCase{"serial", 1, true},
+                              HandoffCase{"serial", 1, false},
+                              HandoffCase{"speculative", 2, true},
+                              HandoffCase{"speculative", 2, false}}) {
+    SCOPED_TRACE(std::string(c.inner) + " threads=" +
+                 std::to_string(c.threads) + " warm=" +
+                 std::to_string(c.warm));
+    const SynthSequence seq = synthSequence(kFrames, 31);
+
+    std::vector<engine::RunReport> expected;
+    stream::Tracker tracker;
+    std::vector<model::Circle> carried;
+    for (int k = 0; k < kFrames; ++k) {
+      engine::Problem problem = seq.problem;
+      problem.frames.clear();
+      problem.filtered = &seq.scenes[k].image;
+      if (c.warm) problem.warmStart = carried;
+      const engine::Engine eng(engine::ExecResources{
+          .threads = c.threads,
+          .seed = engine::deriveJobSeed(kSeed, static_cast<std::size_t>(k))});
+      expected.push_back(eng.run(c.inner, problem, budget));
+      carried = expected.back().circles;
+      (void)tracker.update(static_cast<std::size_t>(k), carried);
+    }
+
+    const engine::Engine eng(
+        engine::ExecResources{.threads = c.threads, .seed = kSeed});
+    const std::vector<std::string> options{
+        std::string("strategy=") + c.inner,
+        std::string("warm-start=") + (c.warm ? "1" : "0")};
+    const auto runPrefix = [&](int frames) {
+      engine::Problem prefix = seq.problem;
+      prefix.frames.resize(static_cast<std::size_t>(frames));
+      return eng.run("sequence", prefix, budget, {}, options);
+    };
+    const engine::RunReport full = runPrefix(kFrames);
+    const stream::StreamReport& report = streamOf(full);
+    ASSERT_EQ(report.perFrame.size(), static_cast<std::size_t>(kFrames));
+    std::uint64_t total = 0;
+    for (int k = 0; k < kFrames; ++k) {
+      SCOPED_TRACE("frame " + std::to_string(k));
+      const stream::FrameResult& frame = report.perFrame[k];
+      EXPECT_EQ(frame.logPosterior, expected[k].logPosterior);
+      EXPECT_EQ(frame.iterations, expected[k].iterations);
+      EXPECT_EQ(frame.circles, expected[k].circles.size());
+      // A prefix ends on frame k, so its final circles are frame k's.
+      EXPECT_EQ(runPrefix(k + 1).circles, expected[k].circles);
+      total += expected[k].iterations;
+    }
+    EXPECT_EQ(full.iterations, total);
+    const std::vector<stream::TrackSummary> tracks = tracker.tracks();
+    ASSERT_EQ(report.tracks.size(), tracks.size());
+    for (std::size_t i = 0; i < tracks.size(); ++i) {
+      EXPECT_EQ(report.tracks[i].id, tracks[i].id);
+      EXPECT_EQ(report.tracks[i].firstFrame, tracks[i].firstFrame);
+      EXPECT_EQ(report.tracks[i].lastFrame, tracks[i].lastFrame);
+    }
+  }
+}
+
+// `synth serial @sequence=2 @shard=2x1`: every frame is the sharded run of
+// that frame alone — sharded tiles ignore the warm start.
+TEST(SequenceStrategy, ShardedFramesMatchShardedRunsAlone) {
+  const engine::ManifestEntry entry =
+      engine::parseManifestLine("synth serial @sequence=2 @shard=2x1");
+  constexpr std::uint64_t kSeed = 37;
+  const engine::RunBudget budget{1200, 0};
+  const SynthSequence seq = synthSequence(2, 41, 96, 6);
+  const engine::Engine eng(engine::ExecResources{.threads = 1, .seed = kSeed});
+  const auto runPrefix = [&](int frames) {
+    engine::Problem prefix = seq.problem;
+    prefix.frames.resize(static_cast<std::size_t>(frames));
+    return eng.run(entry.strategy, prefix, budget, {}, entry.options);
+  };
+  const engine::RunReport full = runPrefix(2);
+  const stream::StreamReport& report = streamOf(full);
+  ASSERT_EQ(report.perFrame.size(), 2u);
+  EXPECT_EQ(report.innerStrategy, "sharded");
+  for (int k = 0; k < 2; ++k) {
+    SCOPED_TRACE("frame " + std::to_string(k));
+    engine::Problem alone = seq.problem;
+    alone.frames.clear();
+    alone.filtered = &seq.scenes[k].image;
+    const engine::Engine single(engine::ExecResources{
+        .threads = 1,
+        .seed = engine::deriveJobSeed(kSeed, static_cast<std::size_t>(k))});
+    const engine::RunReport sharded = single.run(
+        "sharded", alone, budget, {}, {"tiles=2x1", "strategy=serial"});
+    EXPECT_EQ(report.perFrame[k].logPosterior, sharded.logPosterior);
+    EXPECT_EQ(report.perFrame[k].iterations, sharded.iterations);
+    EXPECT_EQ(runPrefix(k + 1).circles, sharded.circles);
+  }
+  // Frame 1 was handed frame 0's circles; the tiles ignored them.
+  EXPECT_GT(report.perFrame[1].carried, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -433,7 +621,7 @@ std::uint64_t iterationsToBand(const engine::Problem& problem,
   return 32000;
 }
 
-TEST(SequenceRunner, WarmStartReachesTheBandInHalfTheColdIterations) {
+TEST(SequenceStrategy, WarmStartReachesTheBandInHalfTheColdIterations) {
   img::DriftSpec drift;
   drift.scene = img::cellScene(160, 160, 10, 9.0, 3);
   drift.frames = 5;
@@ -466,7 +654,6 @@ TEST(SequenceRunner, WarmStartReachesTheBandInHalfTheColdIterations) {
       iterationsToBand(problem, truth, resources);
 
   problem.warmStart = frame0.circles;
-  problem.warmFreshFraction = 0.25;
   const std::uint64_t warmIters =
       iterationsToBand(problem, truth, resources);
 

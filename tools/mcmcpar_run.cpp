@@ -10,6 +10,7 @@
 //   mcmcpar_run --strategy periodic --opt executor=split-merge --progress
 //   mcmcpar_run --batch jobs.txt --threads 8 --iterations 10000
 //   mcmcpar_run --shard 2x2 --strategy serial --image big.pgm --opt halo=16
+//   mcmcpar_run --sequence 'frames/*.pgm' --strategy serial --opt track=0
 
 #include <cerrno>
 #include <cstdio>
@@ -49,10 +50,7 @@ struct CliOptions {
   std::string imagePath;  // when set, run on this PGM instead of a scene
   std::string batchPath;  // when set, run the manifest through BatchRunner
   std::string shardTiles;  // --shard KxL: run through the shard coordinator
-  std::string sequence;   // --sequence N|GLOB: streaming frame-sequence run
-  bool noWarmStart = false;    // --no-warm-start: cold-start every frame
-  bool noTrack = false;        // --no-track: skip the cross-frame tracker
-  double freshFraction = 0.25; // --fresh-fraction: births on warm frames
+  std::string sequence;   // --sequence N|GLOB: run over these frames
   unsigned maxJobs = 0;   // --jobs: concurrent-job cap (0 = thread budget)
   double deadline = 0.0;  // --deadline: whole-batch wall limit in seconds
   std::string traceOut;   // --trace-out: Chrome trace JSON destination
@@ -64,6 +62,7 @@ struct CliOptions {
 void printUsage() {
   std::printf(
       "usage: mcmcpar_run [options]\n"
+      "  --help              print this help and exit\n"
       "  --list              print the strategy registry and exit\n"
       "  --strategy NAME     strategy to run, or 'all' (default: serial)\n"
       "  --opt key=value     strategy-specific option (repeatable)\n"
@@ -79,19 +78,18 @@ void printUsage() {
       "                      (halo=N backend=local|socket hedge-factor=X\n"
       "                      endpoints=h:p[*W],... endpoints-file=PATH iou=X)\n"
       "                      and inner.key=value options go through --opt\n"
-      "  --sequence N|GLOB   streaming run over an ordered frame sequence:\n"
-      "                      a decimal N generates N synthetic drifting\n"
-      "                      frames from the scene knobs; anything else is\n"
-      "                      a PGM glob (sorted). Frame K warm-starts from\n"
-      "                      frame K-1 and objects are tracked across frames\n"
-      "  --no-warm-start     sequence: cold-start every frame\n"
-      "  --no-track          sequence: skip the cross-frame tracker\n"
-      "  --fresh-fraction X  sequence: fresh births on warm frames as a\n"
-      "                      fraction of the expected count (default 0.25)\n"
+      "  --sequence N|GLOB   run through the 'sequence' wrapper over frames\n"
+      "                      instead of one image: a decimal N generates N\n"
+      "                      drifting frames from the scene knobs, anything\n"
+      "                      else is a PGM glob (sorted). --strategy runs on\n"
+      "                      each frame, warm-started from the previous one;\n"
+      "                      sequence knobs (warm-start=0|1 track=0|1) and\n"
+      "                      inner.key=value options go through --opt\n"
       "  --progress          print progress beats from RunHooks\n"
       "  --batch FILE        run a job manifest through BatchRunner; each\n"
       "                      line is '<image.pgm|synth> <strategy>\n"
-      "                      [@iters=N @seed=N @trace=N @label=S] [k=v ...]'\n"
+      "                      [@iters=N @seed=N @trace=N @label=S\n"
+      "                      @shard=KxL @sequence=N|GLOB ...] [k=v ...]'\n"
       "                      (grammar: docs/PROTOCOL.md)\n"
       "  --jobs N            batch: concurrent-job cap (0 = thread budget)\n"
       "  --deadline X        batch: wall-clock deadline in seconds\n"
@@ -202,13 +200,6 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
     } else if (std::strcmp(arg, "--sequence") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
       cli.sequence = v;
-    } else if (std::strcmp(arg, "--no-warm-start") == 0) {
-      cli.noWarmStart = true;
-    } else if (std::strcmp(arg, "--no-track") == 0) {
-      cli.noTrack = true;
-    } else if (std::strcmp(arg, "--fresh-fraction") == 0) {
-      if ((v = value(i)) == nullptr) return std::nullopt;
-      if (!parseDouble(arg, v, cli.freshFraction)) return std::nullopt;
     } else if (std::strcmp(arg, "--jobs") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
       int jobs = 0;
@@ -320,11 +311,28 @@ void printExtras(const engine::RunReport& report) {
   } else if (const auto* seq =
                  std::get_if<stream::StreamReport>(&report.extras)) {
     std::printf(
-        "  [%s] %zu/%zu frame(s), warm-start %s, p50 frame %.3f s, "
+        "  [%s] %zu/%zu frame(s) of %s, warm-start %s, p50 frame %.3f s, "
         "%zu track(s)\n",
-        seq->innerStrategy.c_str(), seq->perFrame.size(), seq->frameCount,
-        seq->warmStart ? "on" : "off", seq->p50FrameSeconds,
-        seq->tracks.size());
+        report.strategy.c_str(), seq->perFrame.size(), seq->frameCount,
+        seq->innerStrategy.c_str(), seq->warmStart ? "on" : "off",
+        seq->p50FrameSeconds, seq->tracks.size());
+    analysis::Table table({"frame", "label", "seconds", "iters", "accept",
+                           "circles", "carried", "born", "ended", "logP"});
+    for (const stream::FrameResult& frame : seq->perFrame) {
+      table.addRow(
+          {analysis::Table::integer(static_cast<long long>(frame.index)),
+           frame.label, analysis::Table::num(frame.wallSeconds, 3),
+           analysis::Table::integer(
+               static_cast<long long>(frame.iterations)),
+           analysis::Table::num(frame.acceptanceRate, 3),
+           analysis::Table::integer(static_cast<long long>(frame.circles)),
+           analysis::Table::integer(static_cast<long long>(frame.carried)),
+           analysis::Table::integer(static_cast<long long>(frame.tracksBorn)),
+           analysis::Table::integer(
+               static_cast<long long>(frame.tracksEnded)),
+           analysis::Table::num(frame.logPosterior, 1)});
+    }
+    table.print(std::cout);
     for (const stream::TrackSummary& track : seq->tracks) {
       std::printf("    track %llu: frames %zu..%zu (%zu frame(s))\n",
                   static_cast<unsigned long long>(track.id), track.firstFrame,
@@ -357,10 +365,15 @@ class TraceOutput {
   std::string path_;
 };
 
-/// The circle prior every run shares, sized from the CLI radius knob.
-engine::Problem makeProblem(const img::ImageF& image, const CliOptions& cli) {
+/// The circle prior every run shares, sized from the CLI radius knob, over
+/// `frames` (borrowed): the first is the image, all of them the sequence.
+engine::Problem makeProblem(const std::vector<stream::FrameImage>& frames,
+                            const CliOptions& cli) {
   engine::Problem problem;
-  problem.filtered = &image;
+  problem.filtered = frames.front().image.get();
+  for (const stream::FrameImage& frame : frames) {
+    problem.frames.push_back({frame.image.get(), frame.label});
+  }
   problem.prior.radiusMean = cli.radius;
   problem.prior.radiusStd = cli.radius / 8.0;
   problem.prior.radiusMin = cli.radius / 2.0;
@@ -368,9 +381,24 @@ engine::Problem makeProblem(const img::ImageF& image, const CliOptions& cli) {
   return problem;
 }
 
+/// The synthetic scene the size knobs describe ("synth" in manifests).
+img::SceneSpec sceneSpec(const CliOptions& cli) {
+  return img::cellScene(cli.width, cli.height, cli.cells, cli.radius,
+                        cli.resources.seed);
+}
+
+/// Read a PGM frame; the error names the path.
+std::shared_ptr<const img::ImageF> loadPgm(const std::string& path) {
+  try {
+    return std::make_shared<const img::ImageF>(img::toF(img::readPgm(path)));
+  } catch (const img::PnmError& e) {
+    throw img::PnmError("cannot read " + path + ": " + e.what());
+  }
+}
+
 /// --batch: parse the manifest, load each distinct image once, run every
 /// job through BatchRunner under one shared thread budget, and print the
-/// per-job table plus the aggregate BatchReport.
+/// per-job table, each job's extras and the aggregate BatchReport.
 int runBatch(const CliOptions& cli) {
   std::ifstream manifest(cli.batchPath);
   if (!manifest) {
@@ -385,9 +413,22 @@ int runBatch(const CliOptions& cli) {
     return 2;
   }
 
-  // One image per distinct manifest path ("synth" = the CLI scene); the map
-  // is node-based, so Problem's borrowed pointers stay stable.
-  std::map<std::string, img::ImageF> images;
+  // One image per distinct path ("synth" = the CLI scene), shared by every
+  // job and sequence frame naming it; each job's frames stay alive for
+  // the Problem's borrowed pointers.
+  const img::SceneSpec synth = sceneSpec(cli);
+  std::map<std::string, std::shared_ptr<const img::ImageF>> images;
+  const stream::FrameLoader load = [&](const std::string& path) {
+    std::shared_ptr<const img::ImageF>& image = images[path];
+    if (image == nullptr) {
+      image = path == "synth" ? std::make_shared<const img::ImageF>(
+                                    img::generateScene(synth).image)
+                              : loadPgm(path);
+    }
+    return image;
+  };
+  std::vector<std::vector<stream::FrameImage>> frames;
+  frames.reserve(entries.size());
   for (const engine::ManifestEntry& entry : entries) {
     if (entry.inlineImage) {
       // There is no connection to have UPLOADed on: inline frames are a
@@ -398,40 +439,31 @@ int runBatch(const CliOptions& cli) {
                    cli.batchPath.c_str(), entry.image.c_str());
       return 2;
     }
-    if (!entry.sequence.empty()) {
-      // BatchRunner runs single-image jobs; dropping the directive would
-      // silently run a one-frame job in place of the sequence.
-      std::fprintf(stderr,
-                   "%s: @sequence jobs are not supported in --batch "
-                   "manifests (job '%s'); use --sequence or mcmcpar_serve\n",
-                   cli.batchPath.c_str(), entry.image.c_str());
+    try {
+      frames.push_back(
+          entry.sequence.empty()
+              ? std::vector<stream::FrameImage>{{load(entry.image),
+                                                 entry.image}}
+              : stream::resolveFrames(
+                    entry.sequence, entry.image == "synth" ? &synth : nullptr,
+                    load));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: job '%s': %s\n", cli.batchPath.c_str(),
+                   entry.image.c_str(), e.what());
       return 2;
-    }
-    if (images.count(entry.image) != 0) continue;
-    if (entry.image == "synth") {
-      img::Scene scene = img::generateScene(img::cellScene(
-          cli.width, cli.height, cli.cells, cli.radius, cli.resources.seed));
-      images.emplace(entry.image, std::move(scene.image));
-    } else {
-      try {
-        images.emplace(entry.image, img::toF(img::readPgm(entry.image)));
-      } catch (const img::PnmError& e) {
-        std::fprintf(stderr, "cannot read %s: %s\n", entry.image.c_str(),
-                     e.what());
-        return 2;
-      }
     }
   }
 
   std::vector<engine::BatchJob> jobs;
   jobs.reserve(entries.size());
-  for (const engine::ManifestEntry& entry : entries) {
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const engine::ManifestEntry& entry = entries[i];
     engine::BatchJob job;
     job.strategy = entry.strategy;
     job.options = entry.options;
     CliOptions jobCli = cli;
     if (entry.radius) jobCli.radius = *entry.radius;
-    job.problem = makeProblem(images.at(entry.image), jobCli);
+    job.problem = makeProblem(frames[i], jobCli);
     if (entry.radiusStd) job.problem.prior.radiusStd = *entry.radiusStd;
     if (entry.radiusMin) job.problem.prior.radiusMin = *entry.radiusMin;
     if (entry.radiusMax) job.problem.prior.radiusMax = *entry.radiusMax;
@@ -487,6 +519,8 @@ int runBatch(const CliOptions& cli) {
          analysis::Table::num(report.logPosterior, 1)});
   }
   table.print(std::cout);
+  std::printf("\n");
+  for (const engine::RunReport& report : result.reports) printExtras(report);
 
   const engine::BatchReport& batch = result.batch;
   std::printf(
@@ -511,109 +545,6 @@ int runBatch(const CliOptions& cli) {
   return batch.failed == 0 ? 0 : 1;
 }
 
-/// --sequence: build the frame list (synthetic drifting scene or PGM glob),
-/// run it through stream::SequenceRunner with warm-started chains and the
-/// cross-frame tracker, and print the per-frame table plus track lifetimes.
-int runSequence(const CliOptions& cli) {
-  if (cli.strategy == "all") {
-    std::fprintf(stderr, "--sequence cannot be combined with --strategy all\n");
-    return 2;
-  }
-
-  stream::SequenceSpec spec;
-  spec.strategy = cli.strategy;
-  spec.options = cli.strategyOptions;
-  spec.budget = cli.budget;
-  spec.warmStart = !cli.noWarmStart;
-  spec.track = !cli.noTrack;
-  spec.freshFraction = cli.freshFraction;
-
-  if (const auto count = stream::parseFrameCount(cli.sequence)) {
-    constexpr std::uint64_t kMaxSynthFrames = 4096;
-    if (*count > kMaxSynthFrames) {
-      std::fprintf(stderr, "--sequence: at most %llu synthetic frames\n",
-                   static_cast<unsigned long long>(kMaxSynthFrames));
-      return 2;
-    }
-    img::DriftSpec drift;
-    drift.scene = img::cellScene(cli.width, cli.height, cli.cells, cli.radius,
-                                 cli.resources.seed);
-    drift.frames = static_cast<int>(*count);
-    std::vector<img::Scene> scenes = img::generateDriftingSequence(drift);
-    for (std::size_t k = 0; k < scenes.size(); ++k) {
-      spec.frames.push_back(
-          {std::make_shared<img::ImageF>(std::move(scenes[k].image)),
-           "synth." + std::to_string(k)});
-    }
-    std::printf("sequence: %zu synthetic drifting frames (%dx%d, %d cells)\n\n",
-                spec.frames.size(), cli.width, cli.height, cli.cells);
-  } else {
-    const std::vector<std::string> paths = stream::expandFrameGlob(cli.sequence);
-    if (paths.empty()) {
-      std::fprintf(stderr, "--sequence: no frames match '%s'\n",
-                   cli.sequence.c_str());
-      return 2;
-    }
-    for (const std::string& path : paths) {
-      try {
-        spec.frames.push_back(
-            {std::make_shared<img::ImageF>(img::toF(img::readPgm(path))),
-             path});
-      } catch (const img::PnmError& e) {
-        std::fprintf(stderr, "cannot read %s: %s\n", path.c_str(), e.what());
-        return 2;
-      }
-    }
-    std::printf("sequence: %zu frames matching %s\n\n", spec.frames.size(),
-                cli.sequence.c_str());
-  }
-
-  spec.problem = makeProblem(*spec.frames.front().image, cli);
-
-  stream::SequenceHooks hooks;
-  if (cli.progress) {
-    hooks.onFrame = [](const stream::FrameResult& frame,
-                       const engine::RunReport&) {
-      std::fprintf(stderr,
-                   "  frame %zu (%s): %zu circle(s), %zu carried, logP %.1f\n",
-                   frame.index, frame.label.c_str(), frame.circles,
-                   frame.carried, frame.logPosterior);
-    };
-  }
-
-  engine::RunReport report;
-  try {
-    report = stream::SequenceRunner().run(spec, cli.resources, hooks);
-  } catch (const engine::EngineError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-
-  const auto* seq = std::get_if<stream::StreamReport>(&report.extras);
-  analysis::Table table({"frame", "label", "seconds", "iters", "accept",
-                         "circles", "carried", "born", "ended", "logP"});
-  if (seq != nullptr) {
-    for (const stream::FrameResult& frame : seq->perFrame) {
-      table.addRow(
-          {analysis::Table::integer(static_cast<long long>(frame.index)),
-           frame.label, analysis::Table::num(frame.wallSeconds, 3),
-           analysis::Table::integer(
-               static_cast<long long>(frame.iterations)),
-           analysis::Table::num(frame.acceptanceRate, 3),
-           analysis::Table::integer(static_cast<long long>(frame.circles)),
-           analysis::Table::integer(static_cast<long long>(frame.carried)),
-           analysis::Table::integer(static_cast<long long>(frame.tracksBorn)),
-           analysis::Table::integer(
-               static_cast<long long>(frame.tracksEnded)),
-           analysis::Table::num(frame.logPosterior, 1)});
-    }
-  }
-  table.print(std::cout);
-  std::printf("\n");
-  printExtras(report);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -631,51 +562,60 @@ int main(int argc, char** argv) {
     return 0;
   }
   const TraceOutput traceOutput(cli.traceOut);
-  if (!cli.sequence.empty()) {
-    if (!cli.batchPath.empty() || !cli.shardTiles.empty()) {
-      std::fprintf(stderr,
-                   "--sequence cannot be combined with --batch or --shard\n");
-      return 2;
-    }
-    return runSequence(cli);
-  }
   if (!cli.batchPath.empty()) {
-    if (!cli.shardTiles.empty()) {
-      // Silently running the manifest unsharded would be worse than an
-      // error; shard batch jobs per line via the @shard directive instead.
+    if (!cli.shardTiles.empty() || !cli.sequence.empty()) {
+      // Silently running the manifest unwrapped would be worse than an
+      // error; wrap batch jobs per line via the directives instead.
       std::fprintf(stderr,
-                   "--shard cannot be combined with --batch; put "
-                   "'@shard=%s' on the manifest lines to shard\n",
-                   cli.shardTiles.c_str());
+                   "--shard and --sequence cannot be combined with --batch; "
+                   "put '@shard=KxL' or '@sequence=N|GLOB' on the manifest "
+                   "lines instead\n");
       return 2;
     }
     return runBatch(cli);
   }
 
-  // The problem: a PGM from disk, or a synthetic scene with known truth.
-  img::ImageF image;
+  // The problem: a PGM from disk, a frame sequence, or a synthetic scene
+  // with known truth.
+  std::vector<stream::FrameImage> frames;
   std::vector<model::Circle> truth;
-  if (!cli.imagePath.empty()) {
-    try {
-      image = img::toF(img::readPgm(cli.imagePath));
-    } catch (const img::PnmError& e) {
-      std::fprintf(stderr, "cannot read %s: %s\n", cli.imagePath.c_str(),
-                   e.what());
-      return 2;
+  try {
+    if (!cli.sequence.empty()) {
+      if (!cli.imagePath.empty()) {
+        std::fprintf(stderr, "--sequence and --image are alternative frame "
+                             "sources; pass one\n");
+        return 2;
+      }
+      const img::SceneSpec synth = sceneSpec(cli);
+      frames = stream::resolveFrames(cli.sequence, &synth, loadPgm);
+      if (stream::parseFrameCount(cli.sequence)) {
+        std::printf("sequence: %zu synthetic drifting frames (%dx%d, %d "
+                    "cells)\n\n",
+                    frames.size(), cli.width, cli.height, cli.cells);
+      } else {
+        std::printf("sequence: %zu frames matching %s\n\n", frames.size(),
+                    cli.sequence.c_str());
+      }
+    } else if (!cli.imagePath.empty()) {
+      frames.push_back({loadPgm(cli.imagePath), cli.imagePath});
+      std::printf("image: %s (%dx%d)\n\n", cli.imagePath.c_str(),
+                  frames.front().image->width(),
+                  frames.front().image->height());
+    } else {
+      img::Scene scene = img::generateScene(sceneSpec(cli));
+      for (const auto& t : scene.truth) truth.push_back({t.x, t.y, t.r});
+      frames.push_back({std::make_shared<const img::ImageF>(
+                            std::move(scene.image)),
+                        "synth"});
+      std::printf("scene: %dx%d with %zu artifacts of radius ~%.1f\n\n",
+                  cli.width, cli.height, truth.size(), cli.radius);
     }
-    std::printf("image: %s (%dx%d)\n\n", cli.imagePath.c_str(), image.width(),
-                image.height());
-  } else {
-    const img::SceneSpec spec = img::cellScene(
-        cli.width, cli.height, cli.cells, cli.radius, cli.resources.seed);
-    img::Scene scene = img::generateScene(spec);
-    image = std::move(scene.image);
-    for (const auto& t : scene.truth) truth.push_back({t.x, t.y, t.r});
-    std::printf("scene: %dx%d with %zu artifacts of radius ~%.1f\n\n",
-                cli.width, cli.height, truth.size(), cli.radius);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
 
-  const engine::Problem problem = makeProblem(image, cli);
+  const engine::Problem problem = makeProblem(frames, cli);
 
   // Report progress once per decile; reset before each strategy.
   auto lastDecile = std::make_shared<int>(-1);
@@ -691,24 +631,31 @@ int main(int argc, char** argv) {
     };
   }
 
-  // --shard KxL: route the run through the shard coordinator, with the
-  // requested --strategy as the per-tile inner strategy.
+  // --shard and --sequence wrap --strategy the way the @shard and
+  // @sequence directives do (shard innermost); --opt options go to the
+  // outermost wrapper, which forwards inner.key=value inwards.
   std::string strategyName = cli.strategy;
-  std::vector<std::string> strategyOptions = cli.strategyOptions;
-  if (!cli.shardTiles.empty()) {
-    if (cli.strategy == "all") {
-      std::fprintf(stderr, "--shard cannot be combined with --strategy all\n");
-      return 2;
+  std::vector<std::string> strategyOptions;
+  const auto wrap = [&](const char* wrapper, std::vector<std::string> options) {
+    if (strategyName != wrapper) {
+      options.push_back("strategy=" + strategyName);
+      for (const std::string& option : strategyOptions) {
+        options.push_back("inner." + option);
+      }
     }
-    std::vector<std::string> options{"tiles=" + cli.shardTiles};
-    if (cli.strategy != "sharded") {
-      options.push_back("strategy=" + cli.strategy);
-    }
-    options.insert(options.end(), strategyOptions.begin(),
-                   strategyOptions.end());
-    strategyName = "sharded";
+    strategyName = wrapper;
     strategyOptions = std::move(options);
+  };
+  if (cli.strategy == "all" &&
+      (!cli.shardTiles.empty() || !cli.sequence.empty())) {
+    std::fprintf(stderr, "--shard and --sequence cannot be combined with "
+                         "--strategy all\n");
+    return 2;
   }
+  if (!cli.shardTiles.empty()) wrap("sharded", {"tiles=" + cli.shardTiles});
+  if (!cli.sequence.empty()) wrap("sequence", {});
+  strategyOptions.insert(strategyOptions.end(), cli.strategyOptions.begin(),
+                         cli.strategyOptions.end());
 
   std::vector<std::string> toRun;
   if (cli.strategy == "all") {
