@@ -80,13 +80,13 @@ BatchResult BatchRunner::run(const std::vector<BatchJob>& jobs,
   concurrency = std::max(concurrency, 1u);
 
   // The shared budget: job-runner threads are charged up front, strategies
-  // lease their internal workers from the remainder. A shared budget may be
-  // partially drained by concurrent holders — run with what it grants (at
-  // least the calling thread) and return it on every exit path.
-  const unsigned charged = budget.tryAcquire(concurrency);
-  if (options.sharedBudget != nullptr) {
-    concurrency = std::max(charged, 1u);
-  }
+  // lease their internal workers from the remainder. A shared budget already
+  // paid for the calling thread and may be partially drained by concurrent
+  // holders — run with what it grants on top of the caller and return it on
+  // every exit path.
+  const bool shared = options.sharedBudget != nullptr;
+  const unsigned charged = budget.tryAcquire(concurrency - (shared ? 1 : 0));
+  if (shared) concurrency = charged + 1;
   struct BudgetReturn {
     par::PoolBudget& budget;
     unsigned charged;
@@ -96,19 +96,20 @@ BatchResult BatchRunner::run(const std::vector<BatchJob>& jobs,
   result.batch.threadBudget = totalThreads;
   result.batch.concurrentJobs = concurrency;
 
-  // Validate and instantiate every strategy before any work starts: an
-  // unknown name or bad option fails the batch as one EngineError instead
-  // of surfacing halfway through a long run.
-  std::vector<std::unique_ptr<Strategy>> strategies;
-  strategies.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  // Job i's resources; runOne replaces the derived seed with job.seed.
+  const auto jobResources = [&](std::size_t i) {
     ExecResources resources = options.resources;
     resources.poolBudget = &budget;
-    resources.seed = jobs[i].seed.value_or(
-        deriveJobSeed(options.resources.seed, i));
+    resources.seed = deriveJobSeed(options.resources.seed, i);
+    return resources;
+  };
+  // Validate every job before any work starts: an unknown name or bad
+  // option fails the batch as one EngineError instead of surfacing halfway
+  // through a long run.
+  for (std::size_t i = 0; i < n; ++i) {
     try {
-      strategies.push_back(
-          registry_->create(jobs[i].strategy, resources, jobs[i].options));
+      (void)registry_->create(jobs[i].strategy, jobResources(i),
+                              jobs[i].options);
     } catch (const EngineError& e) {
       const std::string label =
           jobs[i].label.empty() ? "" : " (" + jobs[i].label + ")";
@@ -160,15 +161,7 @@ BatchResult BatchRunner::run(const std::vector<BatchJob>& jobs,
 
     const par::WallTimer jobTimer;
     try {
-      obs::Span jobSpan("engine", "job:" + jobs[i].strategy);
-      jobSpan.arg("label", jobs[i].label.empty() ? std::to_string(i)
-                                                 : jobs[i].label);
-      strategies[i]->prepare(jobs[i].problem);
-      report = strategies[i]->run(jobs[i].budget, jobHooks);
-      obs::Registry::global()
-          .counter("mcmcpar_engine_runs_total", "Strategy runs completed.",
-                   {{"strategy", jobs[i].strategy}})
-          .add();
+      report = runOne(jobs[i], jobResources(i), jobHooks);
     } catch (const std::exception& e) {  // EngineError and anything else:
       report = RunReport{};              // one bad job must not sink the batch
       report.strategy = jobs[i].strategy;
@@ -451,6 +444,37 @@ std::vector<ManifestEntry> parseBatchManifest(std::istream& in) {
     }
   }
   return entries;
+}
+
+BatchJob buildJob(const ManifestEntry& entry, const RunBudget& budget,
+                  double radius,
+                  const std::vector<stream::FrameImage>& frames) {
+  if (frames.empty()) {
+    throw EngineError("job '" + entry.image + "' resolved to no frames");
+  }
+  BatchJob job;
+  job.strategy = entry.strategy;
+  job.options = entry.options;
+  job.problem.filtered = frames.front().image.get();
+  for (const stream::FrameImage& frame : frames) {
+    job.problem.frames.push_back({frame.image.get(), frame.label});
+  }
+  model::PriorParams& prior = job.problem.prior;
+  const double r = entry.radius.value_or(radius);
+  prior.radiusMean = r;
+  prior.radiusStd = entry.radiusStd.value_or(r / 8.0);
+  prior.radiusMin = entry.radiusMin.value_or(r / 2.0);
+  prior.radiusMax = entry.radiusMax.value_or(r * 1.8);
+  if (entry.expectedCount) {
+    job.problem.estimateCount = false;
+    prior.expectedCount = *entry.expectedCount;
+  }
+  job.budget = budget;
+  if (entry.iterations) job.budget.iterations = *entry.iterations;
+  if (entry.trace) job.budget.traceInterval = *entry.trace;
+  job.seed = entry.seed;
+  job.label = entry.label.empty() ? entry.image : entry.label;
+  return job;
 }
 
 }  // namespace mcmcpar::engine

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "stream/sequence.hpp"
 
 namespace mcmcpar::par {
 class PoolBudget;
@@ -55,7 +56,10 @@ struct BatchOptions {
   /// this long-lived budget instead of constructing a private one, and
   /// returns them when the run ends — the reusable-budget lifecycle a
   /// persistent front-end needs to run batch after batch against one
-  /// PoolBudget. `resources.threads` is ignored in favour of the budget's
+  /// PoolBudget. As with par::PoolLease, the calling thread is taken to be
+  /// paid for already (it is a job thread of the budget's owner, e.g. the
+  /// sharded strategy inside a batch job), so only the extra runners are
+  /// charged. `resources.threads` is ignored in favour of the budget's
   /// total.
   par::PoolBudget* sharedBudget = nullptr;
 };
@@ -111,8 +115,8 @@ struct BatchResult {
 ///
 /// Jobs are validated up front (unknown strategies or malformed options
 /// fail the whole batch before any work starts), dispatched in submission
-/// order over an internal par::ThreadPool, and reported in submission
-/// order. Each job runs under a wrapped RunHooks that forwards progress,
+/// order over an internal par::ThreadPool, each executed through runOne,
+/// and reported in submission order. Each job runs under a wrapped RunHooks that forwards progress,
 /// honours the per-batch deadline and propagates batch cancellation; a
 /// cancelled batch keeps every already-finished report intact.
 class BatchRunner {
@@ -226,6 +230,20 @@ inline constexpr std::uint64_t kMaxJobIterations = 10'000'000'000ULL;
 /// Parse a batch manifest: parseManifestLine on every non-blank,
 /// non-comment line, with "manifest line N:" prefixed to any error.
 [[nodiscard]] std::vector<ManifestEntry> parseBatchManifest(std::istream& in);
+
+/// The one place a parsed job line becomes a runnable job, shared by every
+/// front-end (mcmcpar_run flags and --batch, serve::Server). `budget` and
+/// `radius` are the front-end's defaults; `frames` are the job's resolved
+/// images (stream::resolveJobFrames, or inline uploads), borrowed by the
+/// job's Problem and so required to outlive it. The circle prior is mean r,
+/// std r/8, support [r/2, 1.8r] with r = @radius or `radius`, each derived
+/// value replaced by @radius-std/min/max when given; @count fixes the
+/// expected count (no eq. 5 estimate); @iters and @trace override `budget`;
+/// @seed becomes the job seed; the label is @label, else the image token.
+/// Throws EngineError when `frames` is empty.
+[[nodiscard]] BatchJob buildJob(const ManifestEntry& entry,
+                                const RunBudget& budget, double radius,
+                                const std::vector<stream::FrameImage>& frames);
 
 /// The per-job seed rule used for jobs without an explicit seed: a
 /// SplitMix64-style mix of the batch seed and the job index, collision-free

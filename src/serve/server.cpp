@@ -84,43 +84,36 @@ std::shared_ptr<const img::ImageF> Server::internUpload(std::uint64_t hash,
 
 namespace {
 
-/// Does a raw option token list carry any `key=` for one of `keys`?
+/// Does a raw option token list carry any `<key>=` for one of `keys`?
 bool hasOptionKey(const std::vector<std::string>& options,
-                  std::initializer_list<const char*> keys) {
+                  std::initializer_list<std::string> keys) {
   for (const std::string& option : options) {
-    for (const char* key : keys) {
-      if (option.rfind(std::string(key) + "=", 0) == 0) return true;
+    for (const std::string& key : keys) {
+      if (option.rfind(key + "=", 0) == 0) return true;
     }
   }
   return false;
 }
 
-/// The job-level prior/count directives applied over the server defaults.
-engine::Problem problemFor(const ServerOptions& options, const JobSpec& spec) {
-  engine::Problem problem;
-  // @radius overrides the server-wide prior knob (shard coordinators use
-  // it so remote tiles sample under the coordinator's prior);
-  // @radius-std/min/max carry an exact prior instead of the derived rule,
-  // and @count pins the expected artifact count the way a local caller
-  // sets estimateCount=false.
-  const double radius = spec.radius.value_or(options.radius);
-  problem.prior.radiusMean = radius;
-  problem.prior.radiusStd = spec.radiusStd.value_or(radius / 8.0);
-  problem.prior.radiusMin = spec.radiusMin.value_or(radius / 2.0);
-  problem.prior.radiusMax = spec.radiusMax.value_or(radius * 1.8);
-  if (spec.expectedCount) {
-    problem.estimateCount = false;
-    problem.prior.expectedCount = *spec.expectedCount;
+/// Give a socket-backed sharded job that names no endpoints the server's
+/// fleet (--endpoints-file): the server is the natural owner of "which
+/// hosts are mine to fan out over". The sharded options sit at the top
+/// level, or one wrapper deep as `inner.` options when @sequence wraps it.
+void injectFleet(engine::ManifestEntry& job, const std::string& fleet) {
+  std::string prefix;
+  if (job.strategy == "sequence" &&
+      std::find(job.options.begin(), job.options.end(), "strategy=sharded") !=
+          job.options.end()) {
+    prefix = "inner.";
+  } else if (job.strategy != "sharded") {
+    return;
   }
-  return problem;
-}
-
-engine::RunBudget budgetFor(const ServerOptions& options,
-                            const JobSpec& spec) {
-  engine::RunBudget budget = options.defaultBudget;
-  if (spec.iterations) budget.iterations = *spec.iterations;
-  if (spec.trace) budget.traceInterval = *spec.trace;
-  return budget;
+  if (std::find(job.options.begin(), job.options.end(),
+                prefix + "backend=socket") != job.options.end() &&
+      !hasOptionKey(job.options,
+                    {prefix + "endpoints", prefix + "endpoints-file"})) {
+    job.options.push_back(prefix + "endpoints=" + fleet);
+  }
 }
 
 }  // namespace
@@ -129,21 +122,15 @@ std::uint64_t Server::submit(
     const JobSpec& spec, std::shared_ptr<const img::ImageF> inlineImage,
     std::vector<std::shared_ptr<const img::ImageF>> inlineFrames) {
   JobSpec admitted = spec;
-  // A sharded socket job that names no endpoints inherits the server's
-  // fleet (--endpoints-file): the server is the natural owner of "which
-  // hosts are mine to fan out over".
-  if (!options_.fleetEndpoints.empty() && admitted.strategy == "sharded" &&
-      hasOptionKey(admitted.options, {"backend"}) &&
-      std::find(admitted.options.begin(), admitted.options.end(),
-                "backend=socket") != admitted.options.end() &&
-      !hasOptionKey(admitted.options, {"endpoints", "endpoints-file"})) {
-    admitted.options.push_back("endpoints=" + options_.fleetEndpoints);
+  if (!options_.fleetEndpoints.empty()) {
+    injectFleet(admitted, options_.fleetEndpoints);
   }
 
   // Resolve the image(s) and validate strategy + options at admission, so
   // a bad request fails the submitter with a descriptive error instead of
   // failing later on a worker thread.
-  std::vector<stream::FrameImage> frames;
+  AdmittedJob pinned;
+  std::vector<stream::FrameImage>& frames = pinned.frames;
   if (admitted.inlineImage && !admitted.sequence.empty()) {
     // The front-end gathered uploads `<image>.0` .. `<image>.N-1`.
     stream::requireFrameLimit(inlineFrames.size(), admitted.sequence);
@@ -160,14 +147,6 @@ std::uint64_t Server::submit(
       frames.push_back({std::move(inlineFrames[k]),
                         admitted.image + "." + std::to_string(k)});
     }
-  } else if (!admitted.sequence.empty()) {
-    // A frame count on "synth" is the served drifting scene: the synth
-    // still's geometry, circles moving deterministically from the seed.
-    frames = stream::resolveFrames(
-        admitted.sequence, admitted.image == "synth" ? &synthScene_ : nullptr,
-        [this, oneshot = admitted.oneshot](const std::string& path) {
-          return resolveImage(path, oneshot);
-        });
   } else if (admitted.inlineImage) {
     if (inlineImage == nullptr) {
       throw engine::EngineError(
@@ -176,11 +155,18 @@ std::uint64_t Server::submit(
     }
     frames.push_back({std::move(inlineImage), admitted.image});
   } else {
-    frames.push_back(
-        {resolveImage(admitted.image, admitted.oneshot), admitted.image});
+    // A frame count on "synth" is the served drifting scene: the synth
+    // still's geometry, circles moving deterministically from the seed.
+    frames = stream::resolveJobFrames(
+        admitted, synthScene_,
+        [this, oneshot = admitted.oneshot](const std::string& path) {
+          return resolveImage(path, oneshot);
+        });
   }
+  pinned.job = engine::buildJob(admitted, options_.defaultBudget,
+                                options_.radius, frames);
   (void)engine::StrategyRegistry::builtin().create(
-      admitted.strategy, engine::ExecResources{}, admitted.options);
+      pinned.job.strategy, engine::ExecResources{}, pinned.job.options);
 
   // Predicted cost at admission: the §IX runtime model over the job's
   // iteration budget (times its frame count for sequences) is the currency
@@ -188,17 +174,16 @@ std::uint64_t Server::submit(
   // Activity is unknown this side of the density scan, so 0 — fairness
   // only needs costs comparable across jobs, not absolutely accurate.
   const double predictedCost =
-      core::predictCostSeconds(budgetFor(options_, admitted).iterations,
-                               0.0) *
-      static_cast<double>(std::max<std::size_t>(frames.size(), 1));
+      core::predictCostSeconds(pinned.job.budget.iterations, 0.0) *
+      static_cast<double>(frames.size());
 
   std::uint64_t id = 0;
   {
-    // Hold imageMutex_ across admission so a worker that dequeues the job
+    // Hold jobsMutex_ across admission so a worker that dequeues the job
     // immediately blocks here until its frames are pinned.
-    const std::scoped_lock lock(imageMutex_);
+    const std::scoped_lock lock(jobsMutex_);
     id = queue_.submit(admitted, predictedCost);
-    jobImages_.emplace(id, std::move(frames));
+    jobs_.emplace(id, std::move(pinned));
   }
   emit(JobEvent{JobEvent::Type::Admitted, id, 0, 0});
   return id;
@@ -212,8 +197,8 @@ CancelOutcome Server::cancel(std::uint64_t id) {
   const CancelOutcome outcome = queue_.cancel(id);
   if (outcome == CancelOutcome::QueuedCancelled) {
     {
-      const std::scoped_lock lock(imageMutex_);
-      jobImages_.erase(id);
+      const std::scoped_lock lock(jobsMutex_);
+      jobs_.erase(id);
     }
     emit(JobEvent{JobEvent::Type::Cancelled, id, 0, 0});
   }
@@ -373,18 +358,19 @@ void Server::workerLoop(const std::stop_token& stop) {
                      obs::latencyBuckets(), {{"client", dispatched->client}})
           .observe(dispatched->queueSeconds);
     }
-    std::vector<stream::FrameImage> frames;
+    // A copy: its frames keep the job's images alive for the whole run.
+    std::optional<AdmittedJob> admitted;
     {
-      const std::scoped_lock lock(imageMutex_);
-      const auto it = jobImages_.find(id);
-      if (it != jobImages_.end()) frames = it->second;
+      const std::scoped_lock lock(jobsMutex_);
+      const auto it = jobs_.find(id);
+      if (it != jobs_.end()) admitted = it->second;
     }
 
     // Reacquire this worker's thread from the long-lived budget (released
     // below when the job ends, so idle workers leave their thread leasable
     // by running strategies). A cancel while waiting aborts the wait.
     bool charged = false;
-    if (spec && !frames.empty()) {
+    if (spec && admitted) {
       while (!queue_.cancelRequested(id)) {
         if (budget_.tryAcquireFor(1, 100ms) == 1) {
           charged = true;
@@ -395,7 +381,7 @@ void Server::workerLoop(const std::stop_token& stop) {
 
     engine::RunReport report;
     std::string error;
-    if (charged && spec && !frames.empty()) {
+    if (charged && spec && admitted) {
       obs::Span jobSpan("serve", "job:" + spec->strategy);
       jobSpan.arg("id", std::to_string(id));
       if (dispatched) jobSpan.arg("client", dispatched->client);
@@ -409,17 +395,6 @@ void Server::workerLoop(const std::stop_token& stop) {
         std::this_thread::sleep_for(std::chrono::milliseconds(
             std::min(25u, options_.startDelayMs - slept)));
       }
-
-      engine::BatchJob job;
-      job.strategy = spec->strategy;
-      job.options = spec->options;
-      job.problem = problemFor(options_, *spec);
-      job.problem.filtered = frames.front().image.get();
-      for (const stream::FrameImage& frame : frames) {
-        job.problem.frames.push_back({frame.image.get(), frame.label});
-      }
-      job.budget = budgetFor(options_, *spec);
-      job.seed = spec->seed;
 
       engine::ExecResources resources;
       resources.threads = options_.threads;
@@ -451,7 +426,7 @@ void Server::workerLoop(const std::stop_token& stop) {
       };
 
       try {
-        report = runner_.runOne(job, resources, hooks);
+        report = runner_.runOne(admitted->job, resources, hooks);
       } catch (const std::exception& e) {
         error = e.what();
       }
@@ -472,8 +447,8 @@ void Server::workerLoop(const std::stop_token& stop) {
     }
     queue_.finish(id, std::move(report), std::move(error));
     {
-      const std::scoped_lock lock(imageMutex_);
-      jobImages_.erase(id);
+      const std::scoped_lock lock(jobsMutex_);
+      jobs_.erase(id);
     }
     const std::optional<JobStatus> finished = queue_.status(id);
     JobEvent::Type type = JobEvent::Type::Done;

@@ -211,8 +211,14 @@ class Server {
   std::shared_ptr<const img::ImageF> synthImage_;
   std::chrono::steady_clock::time_point started_;
 
-  std::mutex imageMutex_;  ///< pins job-id -> frame(s) while the job is alive
-  std::map<std::uint64_t, std::vector<stream::FrameImage>> jobImages_;
+  /// An admitted job, built at admission (engine::buildJob) over the frames
+  /// it pins while it is alive.
+  struct AdmittedJob {
+    std::vector<stream::FrameImage> frames;
+    engine::BatchJob job;  ///< borrows `frames`' images
+  };
+  std::mutex jobsMutex_;  ///< guards jobs_
+  std::map<std::uint64_t, AdmittedJob> jobs_;
 
   // Emits take the lock shared (concurrent, non-blocking between workers);
   // subscribe/unsubscribe take it unique, making unsubscribe a barrier.

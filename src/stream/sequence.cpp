@@ -240,6 +240,19 @@ std::vector<FrameImage> resolveFrames(const std::string& sequence,
   return frames;
 }
 
+std::vector<FrameImage> resolveJobFrames(const engine::ManifestEntry& entry,
+                                         const img::SceneSpec& synth,
+                                         const FrameLoader& load) {
+  if (entry.inlineImage) {
+    throw engine::EngineError(
+        "@image=inline names an UPLOAD, which only the socket front-end "
+        "accepts (docs/PROTOCOL.md Binary frames)");
+  }
+  if (entry.sequence.empty()) return {{load(entry.image), entry.image}};
+  return resolveFrames(entry.sequence,
+                       entry.image == "synth" ? &synth : nullptr, load);
+}
+
 std::optional<std::uint64_t> parseFrameCount(const std::string& value) {
   if (value.empty() || value.size() > 9) return std::nullopt;
   for (char c : value) {

@@ -12,6 +12,7 @@
 
 namespace mcmcpar::engine {
 class StrategyRegistry;
+struct ManifestEntry;
 }  // namespace mcmcpar::engine
 
 namespace mcmcpar::stream {
@@ -66,6 +67,15 @@ using FrameLoader =
 /// engine::EngineError; `load` may throw its own errors.
 [[nodiscard]] std::vector<FrameImage> resolveFrames(
     const std::string& sequence, const img::SceneSpec* synth,
+    const FrameLoader& load);
+
+/// The frames of one job line whose pixels are not inline uploads: its
+/// @sequence through resolveFrames (a frame count drifts `synth` when the
+/// image token is "synth"), otherwise the one frame `load(entry.image)`.
+/// Throws engine::EngineError for an `@image=inline` entry — uploads exist
+/// only on a socket connection, whose front-end resolves them itself.
+[[nodiscard]] std::vector<FrameImage> resolveJobFrames(
+    const engine::ManifestEntry& entry, const img::SceneSpec& synth,
     const FrameLoader& load);
 
 /// Parse the `@sequence=N` form: a pure decimal frame count >= 1. Returns

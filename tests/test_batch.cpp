@@ -9,6 +9,7 @@
 #include "engine/batch.hpp"
 #include "engine/registry.hpp"
 #include "img/synth.hpp"
+#include "obs/trace.hpp"
 #include "par/concurrency.hpp"
 
 namespace mcmcpar::engine {
@@ -479,6 +480,141 @@ TEST(BatchRunner, SharedBudgetIsReusedAcrossBatchesAndRestored) {
     // Every thread returned: the budget is whole again between batches.
     EXPECT_EQ(budget.available(), 3u) << round;
   }
+}
+
+TEST(BatchRunner, SharedBudgetCountsTheCallerAsAlreadyPaidFor) {
+  const img::Scene scene = tinyScene(44);
+  const Problem problem = tinyProblem(scene);
+  par::PoolBudget budget(3);
+  // The budget's owner charged this thread for the job it is running (the
+  // sharded strategy inside a batch job is such a caller).
+  ASSERT_EQ(budget.tryAcquire(1), 1u);
+
+  BatchOptions options;
+  options.sharedBudget = &budget;
+  std::vector<BatchJob> jobs;
+  for (int i = 0; i < 4; ++i) jobs.push_back(makeJob(problem, "serial", 400));
+  const BatchResult result = BatchRunner().run(jobs, options);
+  EXPECT_EQ(result.batch.completed, jobs.size());
+  // The caller plus both spare threads: the whole budget runs jobs.
+  EXPECT_EQ(result.batch.concurrentJobs, 3u);
+  EXPECT_EQ(budget.available(), 2u);
+  budget.release(1);
+}
+
+TEST(BatchRunner, EveryJobRunsThroughRunOne) {
+  const img::Scene scene = tinyScene(45);
+  const Problem problem = tinyProblem(scene);
+  obs::Tracer& tracer = obs::Tracer::global();
+  (void)tracer.drainJson();
+  tracer.setEnabled(true);
+  BatchOptions options;
+  options.resources.threads = 1;
+  const BatchResult result = BatchRunner().run(
+      {makeJob(problem, "serial", 300), makeJob(problem, "mc3", 300)},
+      options);
+  tracer.setEnabled(false);
+  const std::string json = tracer.drainJson();
+  EXPECT_EQ(result.batch.completed, 2u);
+  // runOne's prepare span, once per job.
+  EXPECT_NE(json.find("prepare:serial"), std::string::npos) << json;
+  EXPECT_NE(json.find("prepare:mc3"), std::string::npos) << json;
+}
+
+// ---------------------------------------------------------------------------
+// buildJob: the one rule turning a job line into a runnable job.
+// ---------------------------------------------------------------------------
+
+std::vector<stream::FrameImage> blankFrames(std::size_t count) {
+  std::vector<stream::FrameImage> frames;
+  for (std::size_t k = 0; k < count; ++k) {
+    frames.push_back({std::make_shared<const img::ImageF>(16, 16),
+                      "f." + std::to_string(k)});
+  }
+  return frames;
+}
+
+BatchJob built(const std::string& line,
+               const std::vector<stream::FrameImage>& frames) {
+  return buildJob(parseManifestLine(line), RunBudget{500, 7}, 8.0, frames);
+}
+
+TEST(BuildJob, DefaultsGiveTheSharedPriorRuleAndBudget) {
+  const std::vector<stream::FrameImage> frames = blankFrames(1);
+  const BatchJob job = built("a.pgm mc3 chains=2", frames);
+  EXPECT_EQ(job.strategy, "mc3");
+  EXPECT_EQ(job.options, std::vector<std::string>{"chains=2"});
+  EXPECT_DOUBLE_EQ(job.problem.prior.radiusMean, 8.0);
+  EXPECT_DOUBLE_EQ(job.problem.prior.radiusStd, 1.0);   // r/8
+  EXPECT_DOUBLE_EQ(job.problem.prior.radiusMin, 4.0);   // r/2
+  EXPECT_DOUBLE_EQ(job.problem.prior.radiusMax, 14.4);  // 1.8r
+  EXPECT_TRUE(job.problem.estimateCount);
+  EXPECT_EQ(job.budget.iterations, 500u);
+  EXPECT_EQ(job.budget.traceInterval, 7u);
+  EXPECT_FALSE(job.seed);
+  EXPECT_EQ(job.label, "a.pgm");  // no @label: the image token
+  EXPECT_EQ(job.problem.filtered, frames[0].image.get());
+}
+
+TEST(BuildJob, RadiusDirectiveRederivesThePriorUnlessPinned) {
+  const std::vector<stream::FrameImage> frames = blankFrames(1);
+  const BatchJob derived = built("synth serial @radius=16", frames);
+  EXPECT_DOUBLE_EQ(derived.problem.prior.radiusMean, 16.0);
+  EXPECT_DOUBLE_EQ(derived.problem.prior.radiusStd, 2.0);
+  EXPECT_DOUBLE_EQ(derived.problem.prior.radiusMin, 8.0);
+  EXPECT_DOUBLE_EQ(derived.problem.prior.radiusMax, 28.8);
+
+  const BatchJob pinned = built(
+      "synth serial @radius=16 @radius-std=3 @radius-min=5 @radius-max=20",
+      frames);
+  EXPECT_DOUBLE_EQ(pinned.problem.prior.radiusMean, 16.0);
+  EXPECT_DOUBLE_EQ(pinned.problem.prior.radiusStd, 3.0);
+  EXPECT_DOUBLE_EQ(pinned.problem.prior.radiusMin, 5.0);
+  EXPECT_DOUBLE_EQ(pinned.problem.prior.radiusMax, 20.0);
+
+  // A pinned value alone leaves the rest derived from the default radius.
+  const BatchJob partial = built("synth serial @radius-max=11", frames);
+  EXPECT_DOUBLE_EQ(partial.problem.prior.radiusMean, 8.0);
+  EXPECT_DOUBLE_EQ(partial.problem.prior.radiusStd, 1.0);
+  EXPECT_DOUBLE_EQ(partial.problem.prior.radiusMin, 4.0);
+  EXPECT_DOUBLE_EQ(partial.problem.prior.radiusMax, 11.0);
+}
+
+TEST(BuildJob, CountDirectiveTurnsTheEq5EstimateOff) {
+  const BatchJob job = built("synth serial @count=12", blankFrames(1));
+  EXPECT_FALSE(job.problem.estimateCount);
+  EXPECT_DOUBLE_EQ(job.problem.prior.expectedCount, 12.0);
+}
+
+TEST(BuildJob, ItersAndTraceDirectivesOverrideTheDefaults) {
+  const std::vector<stream::FrameImage> frames = blankFrames(1);
+  const BatchJob both = built("synth serial @iters=900 @trace=3", frames);
+  EXPECT_EQ(both.budget.iterations, 900u);
+  EXPECT_EQ(both.budget.traceInterval, 3u);
+  const BatchJob iters = built("synth serial @iters=900", frames);
+  EXPECT_EQ(iters.budget.iterations, 900u);
+  EXPECT_EQ(iters.budget.traceInterval, 7u);
+}
+
+TEST(BuildJob, SeedAndLabelDirectivesReachTheJob) {
+  const BatchJob job =
+      built("synth serial @seed=42 @label=probe", blankFrames(1));
+  ASSERT_TRUE(job.seed);
+  EXPECT_EQ(*job.seed, 42u);
+  EXPECT_EQ(job.label, "probe");
+}
+
+TEST(BuildJob, FramesAreBorrowedInOrderAndRequired) {
+  const std::vector<stream::FrameImage> frames = blankFrames(3);
+  const BatchJob job = built("cam serial @sequence=3", frames);
+  EXPECT_EQ(job.strategy, "sequence");
+  EXPECT_EQ(job.problem.filtered, frames[0].image.get());
+  ASSERT_EQ(job.problem.frames.size(), 3u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(job.problem.frames[k].image, frames[k].image.get());
+    EXPECT_EQ(job.problem.frames[k].label, frames[k].label);
+  }
+  EXPECT_THROW((void)built("synth serial", {}), EngineError);
 }
 
 TEST(PoolBudgetBlocking, TryAcquireForWakesOnRelease) {

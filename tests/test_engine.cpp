@@ -7,7 +7,9 @@
 #include <system_error>
 #include <thread>
 
+#include "analysis/metrics.hpp"
 #include "engine/registry.hpp"
+#include "img/filters.hpp"
 #include "img/synth.hpp"
 
 namespace mcmcpar::engine {
@@ -184,6 +186,9 @@ TEST(EngineRoundTrip, EveryRegisteredStrategyProducesAPopulatedRunReport) {
     EXPECT_GE(report.threadsUsed, 1u);
     // The chain proposed moves and recorded them.
     EXPECT_GT(report.diagnostics.totalProposed(), 0u);
+    if (name == "serial") {
+      EXPECT_EQ(report.diagnostics.totalProposed(), report.iterations);
+    }
     EXPECT_GT(report.acceptanceRate, 0.0);
     EXPECT_LT(report.acceptanceRate, 1.0);
     // A 4-artifact scene must end with a non-empty, sane model.
@@ -234,6 +239,91 @@ TEST(EngineRoundTrip, SameSeedIsReproducibleAcrossEngineCalls) {
   const RunReport b = engine.run("serial", problem, RunBudget{2000, 0});
   EXPECT_EQ(a.circles.size(), b.circles.size());
   EXPECT_DOUBLE_EQ(a.logPosterior, b.logPosterior);
+}
+
+// ---------------------------------------------------------------------------
+// Detection quality: the paper's four methods find the artifacts of a
+// 128x128 scene, with the eq. 5 count estimate on, through the engine.
+// ---------------------------------------------------------------------------
+
+img::Scene detectionScene(std::uint64_t seed) {
+  img::SceneSpec spec = img::cellScene(128, 128, 8, 8.0, seed);
+  spec.radiusStd = 0.5;
+  return img::generateScene(spec);
+}
+
+std::vector<model::Circle> truthOf(const img::Scene& scene) {
+  std::vector<model::Circle> out;
+  for (const auto& t : scene.truth) out.push_back({t.x, t.y, t.r});
+  return out;
+}
+
+RunReport detect(const img::ImageF& image, const std::string& strategy,
+                 const std::vector<std::string>& options = {}) {
+  Problem problem;
+  problem.filtered = &image;
+  problem.prior.radiusMean = 8.0;
+  problem.prior.radiusStd = 0.8;
+  problem.prior.radiusMin = 3.0;
+  problem.prior.radiusMax = 14.0;
+  return Engine(ExecResources{1, false, 3})
+      .run(strategy, problem, RunBudget{12000, 0}, {}, options);
+}
+
+enum class Method : std::uint8_t { Sequential, Periodic, Intelligent, Blind };
+
+class MethodSweep : public ::testing::TestWithParam<Method> {};
+
+TEST_P(MethodSweep, FindsMostArtifacts) {
+  const std::vector<std::string> pipeline{"iters-base=1500",
+                                          "iters-per-circle=400"};
+  const img::Scene scene = detectionScene(51);
+  RunReport report;
+  switch (GetParam()) {
+    case Method::Sequential:
+      report = detect(scene.image, "serial");
+      break;
+    case Method::Periodic:
+      report = detect(scene.image, "periodic", {"phase=40"});
+      break;
+    case Method::Intelligent:
+      report = detect(scene.image, "intelligent", pipeline);
+      break;
+    case Method::Blind:
+      report = detect(scene.image, "blind", pipeline);
+      break;
+  }
+  EXPECT_GT(report.wallSeconds, 0.0);
+  const auto q = analysis::scoreCircles(report.circles, truthOf(scene), 6.0);
+  EXPECT_GE(q.recall, 0.6) << report.strategy;
+  EXPECT_GE(q.precision, 0.5) << report.strategy;
+}
+
+INSTANTIATE_TEST_SUITE_P(Methods, MethodSweep,
+                         ::testing::Values(Method::Sequential,
+                                           Method::Periodic,
+                                           Method::Intelligent,
+                                           Method::Blind));
+
+TEST(Detection, Eq5CountEstimateTracksTheImage) {
+  const img::Scene scene = detectionScene(53);
+  const RunReport report = detect(scene.image, "serial");
+  EXPECT_NEAR(static_cast<double>(report.circles.size()), 8.0, 4.0);
+}
+
+TEST(Detection, StainEmphasisedRgbFeedsTheChain) {
+  // A fake "stained" micrograph: intensity in the blue channel, filtered
+  // to emphasise it (§III) before sampling.
+  const img::Scene scene = detectionScene(55);
+  img::ImageRgb rgb(scene.image.width(), scene.image.height());
+  for (std::size_t i = 0; i < rgb.pixelCount(); ++i) {
+    const auto v = static_cast<std::uint8_t>(
+        std::min(1.0f, scene.image.pixels()[i]) * 255.0f);
+    rgb.pixels()[i] = img::Rgb{30, 30, v};
+  }
+  const RunReport report = detect(img::stainEmphasis(rgb), "serial");
+  const auto q = analysis::scoreCircles(report.circles, truthOf(scene), 6.0);
+  EXPECT_GE(q.recall, 0.5);
 }
 
 // ---------------------------------------------------------------------------

@@ -795,6 +795,32 @@ TEST(Socket, QueueFullSubmitRepliesErrQueueFull) {
   server.shutdown(10.0);
 }
 
+TEST(Server, FleetReachesSocketShardedJobsAtTheTopAndInsideSequences) {
+  Server endpoint(tinyServer(2));
+  SocketFrontend frontend(endpoint, /*port=*/0);
+  ServerOptions options = tinyServer(2);
+  options.fleetEndpoints = "127.0.0.1:" + std::to_string(frontend.port());
+  Server coordinator(options);
+
+  // No endpoints on either line: both must inherit the server's fleet.
+  for (const char* line :
+       {"synth sharded backend=socket tiles=2x1 @iters=400",
+        "synth sharded @sequence=2 backend=socket tiles=2x1 @iters=400"}) {
+    SCOPED_TRACE(line);
+    std::uint64_t id = 0;
+    ASSERT_NO_THROW(id = coordinator.submitLine(line));
+    ASSERT_TRUE(waitFor([&] {
+      const auto status = coordinator.status(id);
+      return status && isTerminal(status->state);
+    }));
+    EXPECT_EQ(coordinator.status(id)->state, JobState::Done)
+        << coordinator.status(id)->error;
+  }
+  coordinator.shutdown(10.0);
+  frontend.stop();
+  endpoint.shutdown(10.0);
+}
+
 // ---------------------------------------------------------------------------
 // Binary frames (UPLOAD) and inline submission
 // ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 // mcmcpar_run — the uniform CLI front-end of the engine façade: execute any
 // registered strategy (or all of them) on a synthetic scene or a PGM image
-// and print one comparable RunReport row per strategy. No strategy-specific
-// setup code lives here; everything flows through the string-keyed registry.
+// and print one comparable RunReport row per job. The flags are sugar for
+// job lines (docs/PROTOCOL.md), so a flag-built run and a --batch manifest
+// take one path: parse the line, resolve its frames, engine::buildJob, and
+// engine::BatchRunner.
 //
 //   mcmcpar_run --list
 //   mcmcpar_run --strategy serial --iterations 20000
@@ -12,18 +14,15 @@
 //   mcmcpar_run --shard 2x2 --strategy serial --image big.pgm --opt halo=16
 //   mcmcpar_run --sequence 'frames/*.pgm' --strategy serial --opt track=0
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
-
-#include <fstream>
-#include <map>
 
 #include "analysis/metrics.hpp"
 #include "analysis/table_writer.hpp"
@@ -34,7 +33,12 @@
 #include "obs/trace.hpp"
 #include "stream/sequence.hpp"
 
+#include "cli_args.hpp"
+
 using namespace mcmcpar;
+using cli::parseDouble;
+using cli::parseU64;
+using cli::parseUnsigned;
 
 namespace {
 
@@ -51,8 +55,8 @@ struct CliOptions {
   std::string batchPath;  // when set, run the manifest through BatchRunner
   std::string shardTiles;  // --shard KxL: run through the shard coordinator
   std::string sequence;   // --sequence N|GLOB: run over these frames
-  unsigned maxJobs = 0;   // --jobs: concurrent-job cap (0 = thread budget)
-  double deadline = 0.0;  // --deadline: whole-batch wall limit in seconds
+  unsigned maxJobs = 0;   // --jobs: concurrent-job cap (0 = default)
+  double deadline = 0.0;  // --deadline: whole-run wall limit in seconds
   std::string traceOut;   // --trace-out: Chrome trace JSON destination
   bool list = false;
   bool progress = false;
@@ -62,6 +66,9 @@ struct CliOptions {
 void printUsage() {
   std::printf(
       "usage: mcmcpar_run [options]\n"
+      "Without --batch the flags build one job line per strategy,\n"
+      "'<FILE.pgm|synth> <strategy> @seed=N [@shard=KxL] [@sequence=..]'\n"
+      "plus the --opt options, and run it like a --batch manifest line.\n"
       "  --help              print this help and exit\n"
       "  --list              print the strategy registry and exit\n"
       "  --strategy NAME     strategy to run, or 'all' (default: serial)\n"
@@ -91,50 +98,13 @@ void printUsage() {
       "                      [@iters=N @seed=N @trace=N @label=S\n"
       "                      @shard=KxL @sequence=N|GLOB ...] [k=v ...]'\n"
       "                      (grammar: docs/PROTOCOL.md)\n"
-      "  --jobs N            batch: concurrent-job cap (0 = thread budget)\n"
-      "  --deadline X        batch: wall-clock deadline in seconds\n"
+      "  --jobs N            concurrent-job cap (default: 1 without --batch,\n"
+      "                      the thread budget with it)\n"
+      "  --deadline X        wall-clock deadline of the whole run in seconds\n"
       "  --trace-out FILE    write a Chrome trace-event JSON timeline of the\n"
       "                      run (open in chrome://tracing or Perfetto);\n"
       "                      sharded runs show fan-out, per-tile flights,\n"
       "                      hedges and the stitch as nested spans\n");
-}
-
-/// Strict numeric parsing: the whole token must convert, mirroring the
-/// engine's key=value validation (no silent "20k" -> 20 truncation).
-bool parseU64(const char* flag, const char* text, std::uint64_t& out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') {
-    std::fprintf(stderr, "%s: expected an unsigned integer, got '%s'\n", flag,
-                 text);
-    return false;
-  }
-  out = value;
-  return true;
-}
-
-bool parseInt(const char* flag, const char* text, int& out) {
-  std::uint64_t value = 0;
-  if (!parseU64(flag, text, value) || value > 0x7FFFFFFFull) {
-    std::fprintf(stderr, "%s: expected a positive int, got '%s'\n", flag,
-                 text);
-    return false;
-  }
-  out = static_cast<int>(value);
-  return true;
-}
-
-bool parseDouble(const char* flag, const char* text, double& out) {
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text, &end);
-  if (errno != 0 || end == text || *end != '\0') {
-    std::fprintf(stderr, "%s: expected a number, got '%s'\n", flag, text);
-    return false;
-  }
-  out = value;
-  return true;
 }
 
 std::optional<CliOptions> parseArgs(int argc, char** argv) {
@@ -173,18 +143,16 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
       if (!parseU64(arg, v, cli.resources.seed)) return std::nullopt;
     } else if (std::strcmp(arg, "--threads") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      int threads = 0;
-      if (!parseInt(arg, v, threads)) return std::nullopt;
-      cli.resources.threads = static_cast<unsigned>(threads);
+      if (!parseUnsigned(arg, v, cli.resources.threads)) return std::nullopt;
     } else if (std::strcmp(arg, "--width") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      if (!parseInt(arg, v, cli.width)) return std::nullopt;
+      if (!parseUnsigned(arg, v, cli.width)) return std::nullopt;
     } else if (std::strcmp(arg, "--height") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      if (!parseInt(arg, v, cli.height)) return std::nullopt;
+      if (!parseUnsigned(arg, v, cli.height)) return std::nullopt;
     } else if (std::strcmp(arg, "--cells") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      if (!parseInt(arg, v, cli.cells)) return std::nullopt;
+      if (!parseUnsigned(arg, v, cli.cells)) return std::nullopt;
     } else if (std::strcmp(arg, "--radius") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
       if (!parseDouble(arg, v, cli.radius)) return std::nullopt;
@@ -202,9 +170,7 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
       cli.sequence = v;
     } else if (std::strcmp(arg, "--jobs") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      int jobs = 0;
-      if (!parseInt(arg, v, jobs)) return std::nullopt;
-      cli.maxJobs = static_cast<unsigned>(jobs);
+      if (!parseUnsigned(arg, v, cli.maxJobs)) return std::nullopt;
     } else if (std::strcmp(arg, "--deadline") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
       if (!parseDouble(arg, v, cli.deadline)) return std::nullopt;
@@ -365,28 +331,6 @@ class TraceOutput {
   std::string path_;
 };
 
-/// The circle prior every run shares, sized from the CLI radius knob, over
-/// `frames` (borrowed): the first is the image, all of them the sequence.
-engine::Problem makeProblem(const std::vector<stream::FrameImage>& frames,
-                            const CliOptions& cli) {
-  engine::Problem problem;
-  problem.filtered = frames.front().image.get();
-  for (const stream::FrameImage& frame : frames) {
-    problem.frames.push_back({frame.image.get(), frame.label});
-  }
-  problem.prior.radiusMean = cli.radius;
-  problem.prior.radiusStd = cli.radius / 8.0;
-  problem.prior.radiusMin = cli.radius / 2.0;
-  problem.prior.radiusMax = cli.radius * 1.8;
-  return problem;
-}
-
-/// The synthetic scene the size knobs describe ("synth" in manifests).
-img::SceneSpec sceneSpec(const CliOptions& cli) {
-  return img::cellScene(cli.width, cli.height, cli.cells, cli.radius,
-                        cli.resources.seed);
-}
-
 /// Read a PGM frame; the error names the path.
 std::shared_ptr<const img::ImageF> loadPgm(const std::string& path) {
   try {
@@ -396,97 +340,102 @@ std::shared_ptr<const img::ImageF> loadPgm(const std::string& path) {
   }
 }
 
-/// --batch: parse the manifest, load each distinct image once, run every
-/// job through BatchRunner under one shared thread budget, and print the
-/// per-job table, each job's extras and the aggregate BatchReport.
-int runBatch(const CliOptions& cli) {
-  std::ifstream manifest(cli.batchPath);
-  if (!manifest) {
-    std::fprintf(stderr, "cannot open manifest %s\n", cli.batchPath.c_str());
-    return 2;
+/// The flags as job lines, `<image|synth> <strategy> @seed=S [@shard=T]
+/// [@sequence=S]` (one per registry name for --strategy all), with the
+/// --opt tokens appended to the outermost strategy's options. Throws
+/// engine::EngineError on contradictory flags.
+std::vector<engine::ManifestEntry> flagJobs(
+    const CliOptions& cli, const engine::StrategyRegistry& registry) {
+  if (!cli.sequence.empty() && !cli.imagePath.empty()) {
+    throw engine::EngineError(
+        "--sequence and --image are alternative frame sources; pass one");
+  }
+  std::vector<std::string> names{cli.strategy};
+  if (cli.strategy == "all") {
+    if (!cli.shardTiles.empty() || !cli.sequence.empty()) {
+      throw engine::EngineError(
+          "--shard and --sequence cannot be combined with --strategy all");
+    }
+    if (!cli.strategyOptions.empty()) {
+      throw engine::EngineError(
+          "--opt is strategy-specific and cannot be combined with "
+          "--strategy all");
+    }
+    names = registry.names();
   }
   std::vector<engine::ManifestEntry> entries;
-  try {
-    entries = engine::parseBatchManifest(manifest);
-  } catch (const engine::EngineError& e) {
-    std::fprintf(stderr, "%s: %s\n", cli.batchPath.c_str(), e.what());
-    return 2;
+  for (const std::string& name : names) {
+    std::string line =
+        "image " + name + " @seed=" + std::to_string(cli.resources.seed);
+    if (!cli.shardTiles.empty()) line += " @shard=" + cli.shardTiles;
+    if (!cli.sequence.empty()) line += " @sequence=" + cli.sequence;
+    engine::ManifestEntry entry = engine::parseManifestLine(line);
+    // Set after parsing, so an image path may contain whitespace.
+    entry.image = cli.imagePath.empty() ? "synth" : cli.imagePath;
+    entry.options.insert(entry.options.end(), cli.strategyOptions.begin(),
+                         cli.strategyOptions.end());
+    entries.push_back(std::move(entry));
   }
+  return entries;
+}
 
-  // One image per distinct path ("synth" = the CLI scene), shared by every
-  // job and sequence frame naming it; each job's frames stay alive for
-  // the Problem's borrowed pointers.
-  const img::SceneSpec synth = sceneSpec(cli);
+/// Run parsed job lines through one BatchRunner under the shared thread
+/// budget, at most `maxJobs` at once (0 = the budget), and print one row
+/// per job, each job's extras and the batch summary. `source` prefixes
+/// frame-resolution errors.
+int runJobs(const CliOptions& cli,
+            const std::vector<engine::ManifestEntry>& entries,
+            const std::string& source, unsigned maxJobs) {
+  // One image per distinct path, shared by every job and frame naming it.
+  // "synth" is the scene the size knobs describe; its truth scores F1.
+  const img::SceneSpec synth = img::cellScene(
+      cli.width, cli.height, cli.cells, cli.radius, cli.resources.seed);
+  std::vector<model::Circle> truth;
   std::map<std::string, std::shared_ptr<const img::ImageF>> images;
-  const stream::FrameLoader load = [&](const std::string& path) {
+  const stream::FrameLoader load =
+      [&](const std::string& path) -> std::shared_ptr<const img::ImageF> {
     std::shared_ptr<const img::ImageF>& image = images[path];
-    if (image == nullptr) {
-      image = path == "synth" ? std::make_shared<const img::ImageF>(
-                                    img::generateScene(synth).image)
-                              : loadPgm(path);
-    }
-    return image;
+    if (image != nullptr) return image;
+    if (path != "synth") return image = loadPgm(path);
+    img::Scene scene = img::generateScene(synth);
+    for (const auto& t : scene.truth) truth.push_back({t.x, t.y, t.r});
+    return image =
+               std::make_shared<const img::ImageF>(std::move(scene.image));
   };
-  std::vector<std::vector<stream::FrameImage>> frames;
+  std::vector<std::vector<stream::FrameImage>> frames;  // jobs borrow these
+  std::vector<engine::BatchJob> jobs;
   frames.reserve(entries.size());
+  jobs.reserve(entries.size());
   for (const engine::ManifestEntry& entry : entries) {
-    if (entry.inlineImage) {
-      // There is no connection to have UPLOADed on: inline frames are a
-      // socket-front-end feature (docs/PROTOCOL.md Binary frames).
-      std::fprintf(stderr,
-                   "%s: @image=inline is only valid on the socket "
-                   "front-end, not in --batch manifests (job '%s')\n",
-                   cli.batchPath.c_str(), entry.image.c_str());
-      return 2;
-    }
     try {
-      frames.push_back(
-          entry.sequence.empty()
-              ? std::vector<stream::FrameImage>{{load(entry.image),
-                                                 entry.image}}
-              : stream::resolveFrames(
-                    entry.sequence, entry.image == "synth" ? &synth : nullptr,
-                    load));
+      frames.push_back(stream::resolveJobFrames(entry, synth, load));
+      jobs.push_back(
+          engine::buildJob(entry, cli.budget, cli.radius, frames.back()));
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: job '%s': %s\n", cli.batchPath.c_str(),
+      std::fprintf(stderr, "%s: job '%s': %s\n", source.c_str(),
                    entry.image.c_str(), e.what());
       return 2;
     }
   }
 
-  std::vector<engine::BatchJob> jobs;
-  jobs.reserve(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const engine::ManifestEntry& entry = entries[i];
-    engine::BatchJob job;
-    job.strategy = entry.strategy;
-    job.options = entry.options;
-    CliOptions jobCli = cli;
-    if (entry.radius) jobCli.radius = *entry.radius;
-    job.problem = makeProblem(frames[i], jobCli);
-    if (entry.radiusStd) job.problem.prior.radiusStd = *entry.radiusStd;
-    if (entry.radiusMin) job.problem.prior.radiusMin = *entry.radiusMin;
-    if (entry.radiusMax) job.problem.prior.radiusMax = *entry.radiusMax;
-    if (entry.expectedCount) {
-      job.problem.estimateCount = false;
-      job.problem.prior.expectedCount = *entry.expectedCount;
-    }
-    job.budget = cli.budget;
-    // @directives on the manifest line override the CLI-wide defaults.
-    if (entry.iterations) job.budget.iterations = *entry.iterations;
-    if (entry.trace) job.budget.traceInterval = *entry.trace;
-    job.seed = entry.seed;
-    job.label = entry.label.empty() ? entry.image : entry.label;
-    jobs.push_back(std::move(job));
-  }
-
   engine::BatchOptions options;
   options.resources = cli.resources;
-  options.maxConcurrentJobs = cli.maxJobs;
+  options.maxConcurrentJobs = maxJobs;
   options.deadlineSeconds = cli.deadline;
 
+  // Progress once per decile of each job, then one line per finished job.
+  std::vector<int> lastDecile(jobs.size(), -1);
   engine::BatchHooks hooks;
   if (cli.progress) {
+    hooks.onJobProgress = [&lastDecile](std::size_t index,
+                                        const engine::RunProgress& p) {
+      if (p.total == 0) return;
+      const int decile = static_cast<int>(10 * p.done / p.total);
+      if (decile == lastDecile[index]) return;
+      lastDecile[index] = decile;
+      std::fprintf(stderr, "  ... job %zu %s %d%%\n", index, p.phase,
+                   decile * 10);
+    };
     hooks.onJobDone = [](std::size_t index, const engine::RunReport& report) {
       std::fprintf(stderr, "  job %zu (%s) %s\n", index,
                    report.strategy.c_str(),
@@ -502,21 +451,32 @@ int runBatch(const CliOptions& cli) {
     return 2;
   }
 
-  analysis::Table table(
-      {"#", "image", "strategy", "status", "seconds", "iters", "circles",
-       "logP"});
+  analysis::Table table({"strategy", "seconds", "iters", "accept", "circles",
+                         "logP", "converge@", "F1", "status", "job"});
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const engine::RunReport& report = result.reports[i];
     const char* status = !result.batch.errors[i].empty() ? "failed"
                          : report.cancelled              ? "cancelled"
                                                          : "ok";
-    const auto circles = static_cast<long long>(report.circles.size());
+    std::string f1 = "-";
+    if (!truth.empty() && entries[i].image == "synth" &&
+        entries[i].sequence.empty()) {
+      f1 = analysis::Table::num(
+          analysis::scoreCircles(report.circles, truth, cli.radius * 0.75).f1,
+          3);
+    }
     table.addRow(
-        {analysis::Table::integer(static_cast<long long>(i)), jobs[i].label,
-         report.strategy, status, analysis::Table::num(report.wallSeconds, 3),
+        {report.strategy, analysis::Table::num(report.wallSeconds, 3),
          analysis::Table::integer(static_cast<long long>(report.iterations)),
-         analysis::Table::integer(circles),
-         analysis::Table::num(report.logPosterior, 1)});
+         analysis::Table::num(report.acceptanceRate, 3),
+         analysis::Table::integer(
+             static_cast<long long>(report.circles.size())),
+         analysis::Table::num(report.logPosterior, 1),
+         report.iterationsToConverge
+             ? analysis::Table::integer(
+                   static_cast<long long>(*report.iterationsToConverge))
+             : "-",
+         f1, status, jobs[i].label});
   }
   table.print(std::cout);
   std::printf("\n");
@@ -531,8 +491,8 @@ int runBatch(const CliOptions& cli) {
       batch.wallSeconds, batch.jobsPerSecond, batch.p50Seconds,
       batch.p95Seconds, batch.threadBudget, batch.concurrentJobs);
   for (const auto& [name, totals] : batch.perStrategy) {
-    std::printf("       %-12s %zu job(s), %llu iters, %.3f s\n", name.c_str(),
-                totals.jobs,
+    std::printf("       %-13s %zu job(s), %llu iters, %.3f s\n",
+                (name + ":").c_str(), totals.jobs,
                 static_cast<unsigned long long>(totals.iterations),
                 totals.wallSeconds);
   }
@@ -562,151 +522,40 @@ int main(int argc, char** argv) {
     return 0;
   }
   const TraceOutput traceOutput(cli.traceOut);
-  if (!cli.batchPath.empty()) {
-    if (!cli.shardTiles.empty() || !cli.sequence.empty()) {
-      // Silently running the manifest unwrapped would be worse than an
-      // error; wrap batch jobs per line via the directives instead.
-      std::fprintf(stderr,
-                   "--shard and --sequence cannot be combined with --batch; "
-                   "put '@shard=KxL' or '@sequence=N|GLOB' on the manifest "
-                   "lines instead\n");
-      return 2;
-    }
-    return runBatch(cli);
-  }
-
-  // The problem: a PGM from disk, a frame sequence, or a synthetic scene
-  // with known truth.
-  std::vector<stream::FrameImage> frames;
-  std::vector<model::Circle> truth;
-  try {
-    if (!cli.sequence.empty()) {
-      if (!cli.imagePath.empty()) {
-        std::fprintf(stderr, "--sequence and --image are alternative frame "
-                             "sources; pass one\n");
-        return 2;
-      }
-      const img::SceneSpec synth = sceneSpec(cli);
-      frames = stream::resolveFrames(cli.sequence, &synth, loadPgm);
-      if (stream::parseFrameCount(cli.sequence)) {
-        std::printf("sequence: %zu synthetic drifting frames (%dx%d, %d "
-                    "cells)\n\n",
-                    frames.size(), cli.width, cli.height, cli.cells);
-      } else {
-        std::printf("sequence: %zu frames matching %s\n\n", frames.size(),
-                    cli.sequence.c_str());
-      }
-    } else if (!cli.imagePath.empty()) {
-      frames.push_back({loadPgm(cli.imagePath), cli.imagePath});
-      std::printf("image: %s (%dx%d)\n\n", cli.imagePath.c_str(),
-                  frames.front().image->width(),
-                  frames.front().image->height());
-    } else {
-      img::Scene scene = img::generateScene(sceneSpec(cli));
-      for (const auto& t : scene.truth) truth.push_back({t.x, t.y, t.r});
-      frames.push_back({std::make_shared<const img::ImageF>(
-                            std::move(scene.image)),
-                        "synth"});
-      std::printf("scene: %dx%d with %zu artifacts of radius ~%.1f\n\n",
-                  cli.width, cli.height, truth.size(), cli.radius);
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-
-  const engine::Problem problem = makeProblem(frames, cli);
-
-  // Report progress once per decile; reset before each strategy.
-  auto lastDecile = std::make_shared<int>(-1);
-  engine::RunHooks hooks;
-  if (cli.progress) {
-    hooks.onProgress = [lastDecile](const engine::RunProgress& p) {
-      if (p.total == 0) return;
-      const int decile = static_cast<int>(10 * p.done / p.total);
-      if (decile != *lastDecile) {
-        *lastDecile = decile;
-        std::fprintf(stderr, "  ... %s %d%%\n", p.phase, decile * 10);
-      }
-    };
-  }
-
-  // --shard and --sequence wrap --strategy the way the @shard and
-  // @sequence directives do (shard innermost); --opt options go to the
-  // outermost wrapper, which forwards inner.key=value inwards.
-  std::string strategyName = cli.strategy;
-  std::vector<std::string> strategyOptions;
-  const auto wrap = [&](const char* wrapper, std::vector<std::string> options) {
-    if (strategyName != wrapper) {
-      options.push_back("strategy=" + strategyName);
-      for (const std::string& option : strategyOptions) {
-        options.push_back("inner." + option);
-      }
-    }
-    strategyName = wrapper;
-    strategyOptions = std::move(options);
-  };
-  if (cli.strategy == "all" &&
-      (!cli.shardTiles.empty() || !cli.sequence.empty())) {
-    std::fprintf(stderr, "--shard and --sequence cannot be combined with "
-                         "--strategy all\n");
-    return 2;
-  }
-  if (!cli.shardTiles.empty()) wrap("sharded", {"tiles=" + cli.shardTiles});
-  if (!cli.sequence.empty()) wrap("sequence", {});
-  strategyOptions.insert(strategyOptions.end(), cli.strategyOptions.begin(),
-                         cli.strategyOptions.end());
-
-  std::vector<std::string> toRun;
-  if (cli.strategy == "all") {
-    toRun = registry.names();
-    if (!cli.strategyOptions.empty()) {
-      std::fprintf(stderr,
-                   "--opt is strategy-specific and cannot be combined with "
-                   "--strategy all\n");
-      return 2;
-    }
-  } else {
-    toRun.push_back(strategyName);
-  }
-
-  const engine::Engine eng(cli.resources);
-  analysis::Table table({"strategy", "seconds", "iters", "accept", "circles",
-                         "logP", "converge@", truth.empty() ? "-" : "F1"});
-  std::vector<engine::RunReport> reports;
-  for (const std::string& name : toRun) {
-    *lastDecile = -1;
+  if (cli.batchPath.empty()) {
+    std::vector<engine::ManifestEntry> entries;
     try {
-      engine::RunReport report =
-          eng.run(name, problem, cli.budget, hooks, strategyOptions);
-      std::string f1 = "-";
-      if (!truth.empty()) {
-        f1 = analysis::Table::num(
-            analysis::scoreCircles(report.circles, truth, cli.radius * 0.75)
-                .f1,
-            3);
-      }
-      table.addRow(
-          {report.strategy, analysis::Table::num(report.wallSeconds, 3),
-           analysis::Table::integer(static_cast<long long>(report.iterations)),
-           analysis::Table::num(report.acceptanceRate, 3),
-           analysis::Table::integer(
-               static_cast<long long>(report.circles.size())),
-           analysis::Table::num(report.logPosterior, 1),
-           report.iterationsToConverge
-               ? analysis::Table::integer(
-                     static_cast<long long>(*report.iterationsToConverge))
-               : "-",
-           f1});
-      reports.push_back(std::move(report));
+      entries = flagJobs(cli, registry);
     } catch (const engine::EngineError& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
+      std::fprintf(stderr, "%s\n", e.what());
       return 2;
     }
+    // One at a time unless --jobs says otherwise, so each job leases the
+    // whole thread budget.
+    return runJobs(cli, entries, "mcmcpar_run",
+                   cli.maxJobs != 0 ? cli.maxJobs : 1);
   }
 
-  table.print(std::cout);
-  std::printf("\n");
-  for (const engine::RunReport& report : reports) printExtras(report);
-  return 0;
+  if (!cli.shardTiles.empty() || !cli.sequence.empty()) {
+    // Silently running the manifest unwrapped would be worse than an
+    // error; wrap batch jobs per line via the directives instead.
+    std::fprintf(stderr,
+                 "--shard and --sequence cannot be combined with --batch; "
+                 "put '@shard=KxL' or '@sequence=N|GLOB' on the manifest "
+                 "lines instead\n");
+    return 2;
+  }
+  std::ifstream manifest(cli.batchPath);
+  if (!manifest) {
+    std::fprintf(stderr, "cannot open manifest %s\n", cli.batchPath.c_str());
+    return 2;
+  }
+  std::vector<engine::ManifestEntry> entries;
+  try {
+    entries = engine::parseBatchManifest(manifest);
+  } catch (const engine::EngineError& e) {
+    std::fprintf(stderr, "%s: %s\n", cli.batchPath.c_str(), e.what());
+    return 2;
+  }
+  return runJobs(cli, entries, cli.batchPath, cli.maxJobs);
 }

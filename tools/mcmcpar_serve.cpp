@@ -14,7 +14,6 @@
 // a graceful drain bounded by --drain-timeout.
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -37,7 +36,12 @@
 #include "serve/watch.hpp"
 #include "shard/endpoints.hpp"
 
+#include "cli_args.hpp"
+
 using namespace mcmcpar;
+using cli::parseDouble;
+using cli::parseU64;
+using cli::parseUnsigned;
 
 namespace {
 
@@ -94,42 +98,6 @@ void printUsage() {
       "\nJob line grammar and the socket protocol: docs/PROTOCOL.md\n");
 }
 
-bool parseU64(const char* flag, const char* text, std::uint64_t& out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') {
-    std::fprintf(stderr, "%s: expected an unsigned integer, got '%s'\n", flag,
-                 text);
-    return false;
-  }
-  out = value;
-  return true;
-}
-
-bool parseUnsigned(const char* flag, const char* text, unsigned& out) {
-  std::uint64_t value = 0;
-  if (!parseU64(flag, text, value) || value > 0xFFFFFFFFull) {
-    std::fprintf(stderr, "%s: expected a 32-bit unsigned, got '%s'\n", flag,
-                 text);
-    return false;
-  }
-  out = static_cast<unsigned>(value);
-  return true;
-}
-
-bool parseDouble(const char* flag, const char* text, double& out) {
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text, &end);
-  if (errno != 0 || end == text || *end != '\0') {
-    std::fprintf(stderr, "%s: expected a number, got '%s'\n", flag, text);
-    return false;
-  }
-  out = value;
-  return true;
-}
-
 std::optional<CliOptions> parseArgs(int argc, char** argv) {
   CliOptions cli;
   const auto value = [&](int& i) -> const char* {
@@ -142,19 +110,15 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* v = nullptr;
-    unsigned u = 0;
     if (std::strcmp(arg, "--help") == 0) {
       cli.help = true;
       return cli;
     } else if (std::strcmp(arg, "--listen") == 0) {
-      if ((v = value(i)) == nullptr || !parseUnsigned(arg, v, u)) {
+      std::uint16_t port = 0;
+      if ((v = value(i)) == nullptr || !parseUnsigned(arg, v, port)) {
         return std::nullopt;
       }
-      if (u > 65535) {
-        std::fprintf(stderr, "--listen: port out of range: %u\n", u);
-        return std::nullopt;
-      }
-      cli.listenPort = u;
+      cli.listenPort = port;
     } else if (std::strcmp(arg, "--watch") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
       cli.watchDir = v;
@@ -177,19 +141,19 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
           !parseUnsigned(arg, v, cli.server.maxConcurrentJobs))
         return std::nullopt;
     } else if (std::strcmp(arg, "--max-queued") == 0) {
-      if ((v = value(i)) == nullptr || !parseUnsigned(arg, v, u)) {
+      if ((v = value(i)) == nullptr ||
+          !parseUnsigned(arg, v, cli.server.maxQueued))
         return std::nullopt;
-      }
-      cli.server.maxQueued = u;
     } else if (std::strcmp(arg, "--delay-ms") == 0) {
       if ((v = value(i)) == nullptr ||
           !parseUnsigned(arg, v, cli.server.startDelayMs))
         return std::nullopt;
     } else if (std::strcmp(arg, "--cache-mb") == 0) {
-      if ((v = value(i)) == nullptr || !parseUnsigned(arg, v, u)) {
+      unsigned megabytes = 0;
+      if ((v = value(i)) == nullptr || !parseUnsigned(arg, v, megabytes)) {
         return std::nullopt;
       }
-      cli.server.cacheBytes = static_cast<std::size_t>(u) << 20;
+      cli.server.cacheBytes = static_cast<std::size_t>(megabytes) << 20;
     } else if (std::strcmp(arg, "--drain-timeout") == 0) {
       if ((v = value(i)) == nullptr || !parseDouble(arg, v, cli.drainTimeout))
         return std::nullopt;
@@ -205,20 +169,17 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
           !parseDouble(arg, v, cli.server.radius))
         return std::nullopt;
     } else if (std::strcmp(arg, "--width") == 0) {
-      if ((v = value(i)) == nullptr || !parseUnsigned(arg, v, u)) {
+      if ((v = value(i)) == nullptr ||
+          !parseUnsigned(arg, v, cli.server.synthWidth))
         return std::nullopt;
-      }
-      cli.server.synthWidth = static_cast<int>(u);
     } else if (std::strcmp(arg, "--height") == 0) {
-      if ((v = value(i)) == nullptr || !parseUnsigned(arg, v, u)) {
+      if ((v = value(i)) == nullptr ||
+          !parseUnsigned(arg, v, cli.server.synthHeight))
         return std::nullopt;
-      }
-      cli.server.synthHeight = static_cast<int>(u);
     } else if (std::strcmp(arg, "--cells") == 0) {
-      if ((v = value(i)) == nullptr || !parseUnsigned(arg, v, u)) {
+      if ((v = value(i)) == nullptr ||
+          !parseUnsigned(arg, v, cli.server.synthCells))
         return std::nullopt;
-      }
-      cli.server.synthCells = static_cast<int>(u);
     } else if (std::strcmp(arg, "--trace-out") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
       cli.traceOut = v;

@@ -25,6 +25,8 @@
 #include "img/synth.hpp"
 #include "serve/socket.hpp"
 
+#include "cli_args.hpp"
+
 using namespace mcmcpar;
 
 namespace {
@@ -139,8 +141,7 @@ int main(int argc, char** argv) {
       host = v;
     } else if (arg == "--port") {
       const char* v = value();
-      if (v == nullptr) return 2;
-      port = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      if (v == nullptr || !cli::parseUnsigned("--port", v, port)) return 2;
     } else if (arg == "--no-wait") {
       wait = false;
     } else if (arg == "--progress") {
@@ -151,38 +152,31 @@ int main(int argc, char** argv) {
       oneshot = true;
     } else if (arg == "--sequence") {
       const char* v = value();
-      if (v == nullptr) return 2;
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0' || n == 0) {
-        std::fprintf(stderr, "--sequence: expected a frame count, got '%s'\n",
-                     v);
+      if (v == nullptr || !cli::parseU64("--sequence", v, sequenceFrames)) {
         return 2;
       }
-      sequenceFrames = n;
+      if (sequenceFrames == 0) {
+        std::fprintf(stderr, "--sequence: expected at least one frame\n");
+        return 2;
+      }
     } else if (arg == "--seq-size") {
       const char* v = value();
-      if (v == nullptr) return 2;
-      seqSize = static_cast<int>(std::strtoul(v, nullptr, 10));
+      if (v == nullptr || !cli::parseUnsigned("--seq-size", v, seqSize)) return 2;
     } else if (arg == "--seq-cells") {
       const char* v = value();
-      if (v == nullptr) return 2;
-      seqCells = static_cast<int>(std::strtoul(v, nullptr, 10));
+      if (v == nullptr || !cli::parseUnsigned("--seq-cells", v, seqCells)) return 2;
     } else if (arg == "--seed") {
       const char* v = value();
-      if (v == nullptr) return 2;
-      seed = std::strtoull(v, nullptr, 10);
+      if (v == nullptr || !cli::parseU64("--seed", v, seed)) return 2;
     } else if (arg == "--timeout") {
       const char* v = value();
-      if (v == nullptr) return 2;
-      timeoutSeconds = std::strtod(v, nullptr);
+      if (v == nullptr || !cli::parseDouble("--timeout", v, timeoutSeconds)) return 2;
     } else if (arg == "--wait") {
       const char* v = value();
-      if (v == nullptr) return 2;
-      char* end = nullptr;
-      const unsigned long long id = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0' || id == 0) {
-        std::fprintf(stderr, "--wait: expected a job id, got '%s'\n", v);
+      std::uint64_t id = 0;
+      if (v == nullptr || !cli::parseU64("--wait", v, id)) return 2;
+      if (id == 0) {
+        std::fprintf(stderr, "--wait: job ids start at 1\n");
         return 2;
       }
       waitId = id;
