@@ -326,6 +326,22 @@ TEST(Detection, StainEmphasisedRgbFeedsTheChain) {
   EXPECT_GE(q.recall, 0.5);
 }
 
+// The sequential nuclei finder is the engine's serial strategy.
+TEST(NucleiFinder, SequentialDiagnosticsPopulated) {
+  const img::Scene scene = detectionScene(57);
+  const RunReport report = detect(scene.image, "serial");
+  EXPECT_EQ(report.diagnostics.totalProposed(), 12000u);
+  EXPECT_NE(report.logPosterior, 0.0);
+}
+
+TEST(NucleiFinder, DeterministicForSeed) {
+  const img::Scene scene = detectionScene(59);
+  const RunReport a = detect(scene.image, "serial");
+  const RunReport b = detect(scene.image, "serial");
+  ASSERT_EQ(a.circles.size(), b.circles.size());
+  EXPECT_EQ(a.logPosterior, b.logPosterior);
+}
+
 // ---------------------------------------------------------------------------
 // RunHooks: progress/trace observers and cancellation.
 // ---------------------------------------------------------------------------
