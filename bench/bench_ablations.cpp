@@ -2,13 +2,11 @@
 // strategies (docs/ARCHITECTURE.md, "Periodic in-place execution and the
 // legality margin" and "The six strategies"):
 //
-//  A. executor: in-place shared-state vs split/merge (deep copies) — the
-//     overhead the split/merge path pays per phase, which fig. 2 measures.
-//  B. per-phase random grid offsets on/off — §V's safeguard against
+//  A. per-phase random grid offsets on/off — §V's safeguard against
 //     persistent partition-boundary bias.
-//  C. iteration allocation: proportional-to-modifiable-features (the
+//  B. iteration allocation: proportional-to-modifiable-features (the
 //     paper's rule) vs uniform per partition.
-//  D. blind partitioning dispute policy: accept vs discard unmatched
+//  C. blind partitioning dispute policy: accept vs discard unmatched
 //     overlap-area features (precision/recall trade, §VIII).
 
 #include <iostream>
@@ -40,44 +38,8 @@ int main(int argc, char** argv) {
   const auto truth = truthOf(w.scene);
   const std::uint64_t iterations = opt.paperScale ? w.iterations : 40000;
 
-  // --- A: executor overhead --------------------------------------------------
-  std::printf("ABL-A: in-place vs split/merge local-phase executors\n\n");
-  {
-    analysis::Table table({"executor", "wall (s)", "overhead (s)",
-                           "overhead/phase (ms)", "final logP"});
-    struct Choice {
-      const char* name;
-      core::LocalExecutor executor;
-    };
-    for (const Choice& c :
-         {Choice{"in-place (shared state)", core::LocalExecutor::InPlace},
-          Choice{"split/merge (deep copy)",
-                 core::LocalExecutor::SplitMerge}}) {
-      model::ModelState state = bench::makeState(w, opt.seed + 21);
-      core::PeriodicParams params;
-      params.totalIterations = iterations;
-      params.globalPhaseIterations = 52;
-      params.executor = c.executor;
-      params.margin = 0.0;  // identical legality for a fair comparison
-      core::PeriodicSampler sampler(state, registry, params, opt.seed + 22);
-      const core::PeriodicReport report = sampler.run();
-      table.addRow(
-          {c.name, analysis::Table::num(report.wallSeconds, 3),
-           analysis::Table::num(report.overheadSeconds, 3),
-           analysis::Table::num(
-               1000.0 * report.overheadSeconds /
-                   static_cast<double>(std::max<std::uint64_t>(report.phases, 1)),
-               3),
-           analysis::Table::num(state.logPosterior(), 1)});
-    }
-    table.print(std::cout);
-    std::printf("\n(the split/merge overhead is the price of distribution-\n"
-                "friendly isolation; in shared memory the in-place executor\n"
-                "avoids it entirely)\n\n");
-  }
-
-  // --- B: random grid offsets ------------------------------------------------
-  std::printf("ABL-B: per-phase random partition offsets vs a fixed layout\n\n");
+  // --- A: random grid offsets ------------------------------------------------
+  std::printf("ABL-A: per-phase random partition offsets vs a fixed layout\n\n");
   {
     analysis::Table table({"layout", "F1", "misses near fixed boundary",
                            "misses elsewhere"});
@@ -106,8 +68,8 @@ int main(int argc, char** argv) {
                 "cross where features are never modifiable by local moves)\n\n");
   }
 
-  // --- C: iteration allocation -----------------------------------------------
-  std::printf("ABL-C: iteration allocation across partitions\n\n");
+  // --- B: iteration allocation -----------------------------------------------
+  std::printf("ABL-B: iteration allocation across partitions\n\n");
   {
     analysis::Table table({"allocation", "F1", "final logP"});
     for (const auto mode :
@@ -133,8 +95,8 @@ int main(int argc, char** argv) {
                 "and starves dense ones; the gap widens with density skew)\n\n");
   }
 
-  // --- D: blind dispute policy -----------------------------------------------
-  std::printf("ABL-D: blind partitioning dispute policy\n\n");
+  // --- C: blind dispute policy -----------------------------------------------
+  std::printf("ABL-C: blind partitioning dispute policy\n\n");
   {
     img::SceneSpec spec = img::cellScene(256, 256, 20, 8.0, opt.seed + 51);
     spec.radiusStd = 0.5;

@@ -5,10 +5,10 @@
 // Default is a scaled workload (384x384 / 60k iterations) so the whole
 // bench suite stays fast; run with --paper-scale for the full size.
 //
-// The split/merge executor provides the real per-phase overhead the figure
-// measures; the 4-thread virtual clock provides the quad-core wall time
-// on any host (see docs/ARCHITECTURE.md, "Substitutions for the paper's
-// testbed").
+// The per-phase overhead the figure measures is the local phase's partition
+// setup (layout, modifiable sets, iteration shares, streams); the 4-thread
+// virtual clock provides the quad-core wall time on any host (see
+// docs/ARCHITECTURE.md, "Substitutions for the paper's testbed").
 
 #include <iostream>
 
@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
     core::PeriodicParams params;
     params.totalIterations = w.iterations;
     params.globalPhaseIterations = z;
-    params.executor = core::LocalExecutor::SplitMerge;
     params.virtualThreads = 4;
     core::PeriodicSampler sampler(state, registry, params, opt.seed + 3);
     const core::PeriodicReport report = sampler.run();
@@ -76,7 +75,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nexpected shape (paper fig. 2): very short global phases are *slower*\n"
-      "than sequential (split/merge overhead dominates); the curve drops and\n"
+      "than sequential (per-phase overhead dominates); the curve drops and\n"
       "flattens once each phase amortises the overhead (paper: >= ~4 ms to\n"
       "break even, sweet spot ~20 ms, ~29%% below sequential on the Q6600).\n");
   return 0;

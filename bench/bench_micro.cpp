@@ -1,13 +1,12 @@
 // MICRO — google-benchmark microbenchmarks of the substrates the paper's
 // per-iteration cost model (tauG, tauL) is made of: incremental likelihood
-// deltas, spatial-grid neighbour queries, RNG throughput, disc rasterising,
-// and the split/merge crop transfer that dominates periodic overhead.
+// deltas, spatial-grid neighbour queries, RNG throughput and disc
+// rasterising.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 
-#include "core/split_merge.hpp"
 #include "img/disc_raster.hpp"
 #include "img/synth.hpp"
 #include "mcmc/sampler.hpp"
@@ -404,29 +403,5 @@ void BM_SequentialIteration(benchmark::State& state) {
   state.SetLabel("one RJ-MCMC iteration (tau of §VI)");
 }
 BENCHMARK(BM_SequentialIteration);
-
-void BM_SubStateBuildMerge(benchmark::State& state) {
-  model::ModelState s = microState(512, 60, 21);
-  const int half = 256;
-  for (auto _ : state) {
-    core::SubState sub =
-        core::buildSubState(s, partition::IRect{0, 0, half, 512}, 0.0);
-    benchmark::DoNotOptimize(core::mergeSubState(s, sub));
-  }
-  state.SetLabel("split+merge of a 256x512 partition (periodic overhead)");
-}
-BENCHMARK(BM_SubStateBuildMerge);
-
-void BM_CropTransfer(benchmark::State& state) {
-  const img::Scene scene =
-      img::generateScene(img::cellScene(512, 512, 60, 10.0, 23));
-  model::PixelLikelihood lik(scene.image, model::LikelihoodParams{});
-  for (auto _ : state) {
-    model::PixelLikelihood crop = lik.crop(0, 0, 256, 512);
-    lik.absorbCrop(crop);
-    benchmark::DoNotOptimize(lik.coveredGain());
-  }
-}
-BENCHMARK(BM_CropTransfer);
 
 }  // namespace

@@ -5,8 +5,8 @@
 //          Q6600 (2x dual-core dies)  -29%
 //          dual-socket Xeon           -23%
 //
-// The three hosts are modelled as virtual presets (thread count + relative
-// split/merge communication cost); per-move costs are measured live.
+// The three hosts are modelled as virtual presets (thread count + a scale
+// on the per-phase partition setup); per-move costs are measured live.
 
 #include <iostream>
 
@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
     // needs a larger z; bench_fig2's sweep locates the plateau at z ~ 1040
     // for the reduced workload.
     params.globalPhaseIterations = opt.paperScale ? 130 : 1040;
-    params.executor = core::LocalExecutor::SplitMerge;
     params.virtualThreads = preset.threads;
     core::PeriodicSampler sampler(state, registry, params, opt.seed + 3);
     const core::PeriodicReport report = sampler.run();

@@ -5,8 +5,8 @@
 //
 // The virtual executor charges makespan over `s` threads from measured
 // per-partition costs, so deviations from eq. 2 expose real effects the
-// closed form ignores: split/merge overhead and partition load imbalance
-// (both discussed in §VI/§VII of the paper).
+// closed form ignores: per-phase partition setup and partition load
+// imbalance (both discussed in §VI/§VII of the paper).
 
 #include <iostream>
 
@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
       core::PeriodicParams params;
       params.totalIterations = iterations;
       // Eq. 2 assumes "the parallelisation overhead is negligible", so the
-      // comparison uses the in-place executor (no split/merge copies) with
-      // phases long enough to amortise per-phase bookkeeping.
+      // comparison uses phases long enough to amortise per-phase
+      // bookkeeping.
       params.globalPhaseIterations =
           std::max<std::uint64_t>(200, static_cast<std::uint64_t>(1000 * qg));
       params.layout = core::PartitionLayout::UniformGrid;

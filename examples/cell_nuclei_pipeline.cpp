@@ -75,11 +75,8 @@ int main(int argc, char** argv) {
   core::PeriodicParams params;
   params.totalIterations = iterations;
   params.globalPhaseIterations = 130;  // the paper's ~20 ms sweet spot
-  // In shared memory the in-place executor is the right choice: local
-  // sessions mutate the shared state under the legality margin and pay no
-  // split/merge copies (bench_ablations quantifies the difference; the
-  // SplitMerge executor exists for the cluster/fig.-2 overhead story).
-  params.executor = core::LocalExecutor::InPlace;
+  // Local sessions mutate the shared state in place under the legality
+  // margin, so a phase pays only its partition setup.
   params.virtualThreads = 4;  // model a quad-core (Q6600-like) machine
   core::PeriodicSampler periodic(perState, registry, params, 22);
   const core::PeriodicReport report = periodic.run();
@@ -95,7 +92,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(report.phases),
               static_cast<unsigned long long>(report.globalIterations),
               static_cast<unsigned long long>(report.localIterations));
-  std::printf("             split/merge overhead %.3f s total (%.2f ms/phase)\n",
+  std::printf("             partition setup %.3f s total (%.2f ms/phase)\n",
               report.overheadSeconds,
               1000.0 * report.overheadSeconds /
                   static_cast<double>(std::max<std::uint64_t>(report.phases, 1)));

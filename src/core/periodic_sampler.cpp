@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "core/split_merge.hpp"
 #include "mcmc/sampler.hpp"
 #include "par/concurrency.hpp"
 #include "par/task_scheduler.hpp"
@@ -30,12 +29,11 @@ struct SessionResult {
 /// partition, accumulating the scalar state-cache deltas locally so that
 /// concurrent sessions never write shared scalars (see
 /// docs/ARCHITECTURE.md, "Periodic in-place execution").
-SessionResult runLocalSessionShared(model::ModelState& state,
-                                    const mcmc::MoveRegistry& registry,
-                                    const mcmc::RegionConstraint& rc,
-                                    const std::vector<model::CircleId>& cand,
-                                    std::uint64_t iterations,
-                                    rng::Stream stream) {
+SessionResult runLocalSession(model::ModelState& state,
+                              const mcmc::MoveRegistry& registry,
+                              const mcmc::RegionConstraint& rc,
+                              const std::vector<model::CircleId>& cand,
+                              std::uint64_t iterations, rng::Stream stream) {
   SessionResult result;
   const par::WallTimer timer;
   const mcmc::SelectionContext ctx{&cand, &rc};
@@ -70,25 +68,6 @@ SessionResult runLocalSessionShared(model::ModelState& state,
   return result;
 }
 
-/// Run one partition's slice against a detached sub-state.
-SessionResult runLocalSessionSub(SubState& sub,
-                                 const mcmc::MoveRegistry& registry,
-                                 std::uint64_t iterations,
-                                 rng::Stream stream) {
-  SessionResult result;
-  const par::WallTimer timer;
-  const mcmc::SelectionContext ctx{&sub.candidates, &sub.constraint};
-  for (std::uint64_t i = 0; i < iterations; ++i) {
-    const mcmc::Move& move = registry.sampleLocal(stream);
-    const mcmc::PendingMove pending = move.propose(*sub.state, ctx, stream);
-    const bool accepted = mcmc::acceptAndCommit(*sub.state, pending, stream);
-    result.diagnostics.record(move.name(), accepted);
-  }
-  result.iterations = iterations;
-  result.seconds = timer.seconds();
-  return result;
-}
-
 }  // namespace
 
 rng::Stream partitionStream(const rng::Stream& master, std::uint64_t phase,
@@ -115,11 +94,12 @@ struct PeriodicSampler::Impl {
     }
   }
 
-  /// Concurrent in-place sessions need the safety margin; sessions that run
-  /// one at a time, or on detached sub-states, do not.
+  /// Concurrent sessions need the safety margin; sessions that run one at a
+  /// time do not. A virtual-time run models the chain its virtual threads
+  /// would run, so it takes the margin too.
   [[nodiscard]] double effectiveMargin() const {
     if (params.margin >= 0.0) return params.margin;
-    return params.executor == LocalExecutor::InPlace && pool != nullptr
+    return pool != nullptr || params.virtualThreads > 1
                ? partition::inPlaceSafetyMargin(state)
                : 0.0;
   }
@@ -219,55 +199,19 @@ struct PeriodicSampler::Impl {
 
     std::vector<SessionResult> results(partitions.size());
     const par::WallTimer bodyTimer;
-    double splitMergeOverhead = 0.0;
+    par::forEachIndex(pool, partitions.size(), [&](std::size_t i) {
+      if (allocation[i] == 0) return;
+      results[i] = runLocalSession(state, registry, constraints[i],
+                                   candidates[i], allocation[i], streams[i]);
+    });
 
-    if (params.executor == LocalExecutor::InPlace) {
-      par::forEachIndex(pool, partitions.size(), [&](std::size_t i) {
-        if (allocation[i] == 0) return;
-        results[i] =
-            runLocalSessionShared(state, registry, constraints[i],
-                                  candidates[i], allocation[i], streams[i]);
-      });
-    } else {
-      // Split: crop + copy each partition (sequential master work).
-      const par::WallTimer splitTimer;
-      std::vector<SubState> subs;
-      std::vector<std::size_t> active;
-      subs.reserve(partitions.size());
-      for (std::size_t i = 0; i < partitions.size(); ++i) {
-        if (allocation[i] == 0) continue;
-        subs.push_back(buildSubState(
-            state,
-            partition::roundToPixels(partitions[i],
-                                     static_cast<int>(state.bounds().x1),
-                                     static_cast<int>(state.bounds().y1)),
-            margin));
-        active.push_back(i);
-      }
-      const double splitSeconds = splitTimer.seconds();
-
-      par::forEachIndex(pool, subs.size(), [&](std::size_t k) {
-        results[active[k]] = runLocalSessionSub(
-            subs[k], registry, allocation[active[k]], streams[active[k]]);
-      });
-
-      // Merge back (sequential master work).
-      const par::WallTimer mergeTimer;
-      for (SubState& sub : subs) mergeSubState(state, sub);
-      splitMergeOverhead = splitSeconds + mergeTimer.seconds();
-    }
-
-    // Fold worker deltas (shared-state sessions only; split/merge folded
-    // through mergeSubState already).
-    const bool sharedState = params.executor == LocalExecutor::InPlace;
+    // Fold the sessions' scalar deltas into the shared caches.
     std::vector<double> taskSeconds;
     taskSeconds.reserve(results.size());
     for (SessionResult& r : results) {
       if (r.iterations == 0) continue;
-      if (sharedState) {
-        state.adjustLogPosterior(r.logPostDelta);
-        state.likelihoodMutable().adjustCoveredGain(r.coveredGainDelta);
-      }
+      state.adjustLogPosterior(r.logPostDelta);
+      state.likelihoodMutable().adjustCoveredGain(r.coveredGainDelta);
       report.diagnostics.merge(r.diagnostics);
       report.localIterations += r.iterations;
       ++report.partitionsProcessed;
@@ -276,12 +220,10 @@ struct PeriodicSampler::Impl {
 
     const double bodySeconds = bodyTimer.seconds();
     report.localSeconds += bodySeconds;
-    report.overheadSeconds += splitMergeOverhead;
 
     // Virtual accounting: partitions run concurrently on virtualThreads;
-    // split/merge and setup remain sequential master work.
+    // setup remains sequential master work.
     if (params.virtualThreads > 0) {
-      vclock.advance(splitMergeOverhead);
       vclock.advanceParallel(taskSeconds, params.virtualThreads);
     } else {
       vclock.advance(bodySeconds);

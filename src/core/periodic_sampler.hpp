@@ -12,19 +12,6 @@
 
 namespace mcmcpar::core {
 
-/// How the local (Ml) phases execute their partitions. Whether sessions run
-/// concurrently is not a choice of executor: they run on the sampler's pool
-/// when it has one and one after another on the calling thread when not.
-enum class LocalExecutor : std::uint8_t {
-  /// Sessions mutate the shared state in place under the legality margin
-  /// (docs/ARCHITECTURE.md, "Periodic in-place execution") and accumulate
-  /// scalar deltas locally.
-  InPlace,
-  /// Deep-copied sub-states (crop + copy, run, merge back): the faithful
-  /// "duplicate ... and merge" path of §VII whose overhead Fig. 2 measures.
-  SplitMerge,
-};
-
 /// How partitions are laid out each local phase.
 enum class PartitionLayout : std::uint8_t {
   /// §VII: four rectangles meeting at a uniformly random interior cross
@@ -46,16 +33,15 @@ struct PeriodicParams {
   double gridSpacingY = 0.0;
 
   /// Legality margin; negative = automatic: the in-place safety margin when
-  /// in-place sessions run concurrently on a pool, 0 otherwise.
+  /// local sessions run concurrently (on a pool, or on more than one virtual
+  /// thread), 0 otherwise.
   double margin = -1.0;
-
-  LocalExecutor executor = LocalExecutor::InPlace;
 
   /// When > 0, also account a virtual wall clock for an SMP with this many
   /// threads (run without a pool so per-partition costs are measured
   /// undisturbed; see docs/ARCHITECTURE.md, "Substitutions for the paper's
   /// testbed"). Adds makespan(partition costs) per local phase plus the
-  /// measured split/merge overhead.
+  /// measured partition setup.
   unsigned virtualThreads = 0;
 
   /// Speculative lanes during global phases (eq. 3); 1 disables.
@@ -86,7 +72,7 @@ struct PeriodicReport {
   double wallSeconds = 0.0;             ///< real elapsed time of run()
   double globalSeconds = 0.0;           ///< real time inside global phases
   double localSeconds = 0.0;            ///< real time inside local phases
-  double overheadSeconds = 0.0;         ///< split/merge + bookkeeping
+  double overheadSeconds = 0.0;         ///< local-phase partition setup
   double virtualSeconds = 0.0;          ///< modeled SMP wall time (if enabled)
   std::uint64_t partitionsProcessed = 0;
   std::uint64_t modifiableTotal = 0;    ///< sum over phases of modifiable counts

@@ -23,8 +23,8 @@ struct ArchitecturePreset {
 [[nodiscard]] std::vector<ArchitecturePreset> paperArchitectures();
 
 /// Re-derive a report's virtual wall time under a different communication
-/// quality: the measured overhead (charged serially in virtualSeconds) is
-/// rescaled by `overheadScale`.
+/// quality: the measured overhead (the local phases' partition setup,
+/// charged serially in virtualSeconds) is rescaled by `overheadScale`.
 [[nodiscard]] double adjustedVirtualSeconds(const PeriodicReport& report,
                                             double overheadScale) noexcept;
 

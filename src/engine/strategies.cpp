@@ -343,17 +343,6 @@ class PeriodicStrategy final : public StrategyBase {
       throw EngineError("strategy '" + name_ + "': layout must be " +
                         "'cross' or 'grid', got '" + layout + "'");
     }
-
-    const std::string executor = options.str("executor", "in-place");
-    if (executor == "in-place") {
-      params_.executor = core::LocalExecutor::InPlace;
-    } else if (executor == "split-merge") {
-      params_.executor = core::LocalExecutor::SplitMerge;
-    } else {
-      throw EngineError("strategy '" + name_ + "': executor must be " +
-                        "'in-place' or 'split-merge', got '" + executor +
-                        "'");
-    }
   }
 
   RunReport run(const RunBudget& budget, const RunHooks& hooks) override {
@@ -495,9 +484,8 @@ const StrategyRegistry& StrategyRegistry::builtin() {
             }});
     r->add({"periodic", "§V-VII",
             "periodic partitioning (global/local phases)", "PeriodicReport",
-            "phase=N executor=in-place|split-merge layout=cross|grid "
-            "margin=X spec-lanes=N virtual-threads=N resync=N grid-x=X "
-            "grid-y=X",
+            "phase=N layout=cross|grid margin=X spec-lanes=N "
+            "virtual-threads=N resync=N grid-x=X grid-y=X",
             [](const ExecResources& res, const OptionMap& opts) {
               return std::make_unique<PeriodicStrategy>("periodic", res, opts);
             }});

@@ -121,8 +121,8 @@ void forEachDiscPixel(double cx, double cy, double r, int width, int height,
   });
 }
 
-/// Collect the clipped disc as spans (used where a materialised list beats
-/// repeated recomputation, e.g. the split/merge executor's pixel transfer).
+/// Collect the clipped disc as spans (a materialised list, for callers that
+/// walk the same disc more than once).
 [[nodiscard]] std::vector<Span> discSpans(double cx, double cy, double r,
                                           int width, int height);
 

@@ -307,32 +307,4 @@ double PixelLikelihood::referenceCoveredGain(
   return total.value();
 }
 
-PixelLikelihood PixelLikelihood::crop(int gx0, int gy0, int w, int h) const {
-  assert(gx0 >= originX_ && gy0 >= originY_);
-  assert(gx0 + w <= originX_ + width() && gy0 + h <= originY_ + height());
-  PixelLikelihood out;
-  out.params_ = params_;
-  out.originX_ = gx0;
-  out.originY_ = gy0;
-  out.gain_ = gain_.crop(gx0 - originX_, gy0 - originY_, w, h);
-  out.coverage_ = coverage_.crop(gx0 - originX_, gy0 - originY_, w, h);
-  out.constTerm_ = 0.0;  // crops track relative gain only
-  out.resynchronise();
-  out.initialCoveredGain_ = out.coveredGain_;
-  return out;
-}
-
-void PixelLikelihood::absorbCrop(const PixelLikelihood& cropped) noexcept {
-  const int lx0 = cropped.originX_ - originX_;
-  const int ly0 = cropped.originY_ - originY_;
-  assert(lx0 >= 0 && ly0 >= 0);
-  assert(lx0 + cropped.width() <= width() && ly0 + cropped.height() <= height());
-  for (int y = 0; y < cropped.height(); ++y) {
-    const std::uint16_t* src = cropped.coverage_.row(y);
-    std::uint16_t* dst = coverage_.row(ly0 + y) + lx0;
-    std::copy(src, src + cropped.width(), dst);
-  }
-  coveredGain_ += cropped.coveredGainDeltaSinceCrop();
-}
-
 }  // namespace mcmcpar::model

@@ -26,15 +26,15 @@ struct LikelihoodParams {
 /// A move's delta therefore touches only the discs it changes: O(r^2).
 ///
 /// The raster may be a crop of a larger image: `originX/originY` give the
-/// crop's position, and all circle coordinates remain global. The periodic
-/// split/merge executor clones crops per partition and folds them back with
-/// `absorbCrop`.
+/// crop's position, and all circle coordinates remain global (the §VIII–IX
+/// pipelines build one such state per partition).
 ///
 /// Mutation API: `applyAdd`/`applyRemove` update coverage and RETURN the
 /// covered-gain delta without touching the running total; callers accumulate
-/// via `adjustCoveredGain`. This split lets the in-place parallel executor
-/// accumulate deltas thread-locally (coverage writes are disjoint by the
-/// partition legality rules; the scalar total would otherwise be a race).
+/// via `adjustCoveredGain`. This split lets the periodic sampler's
+/// concurrent local sessions accumulate deltas thread-locally (coverage
+/// writes are disjoint by the partition legality rules; the scalar total
+/// would otherwise be a race).
 ///
 /// Hot path: every method walks the disc as contiguous row spans
 /// (img::forEachDiscSpan, or for deltaReplace the same spans computed once
@@ -115,22 +115,6 @@ class PixelLikelihood {
   /// circle set (ignores the maintained raster). For tests.
   [[nodiscard]] double referenceCoveredGain(std::span<const Circle> circles) const;
 
-  // --- crop support (split/merge executor) --------------------------------
-
-  /// Clone the axis-aligned subrectangle [gx0, gx0+w) x [gy0, gy0+h) given in
-  /// global coordinates (must be inside this raster). The clone keeps global
-  /// coordinates and starts with the parent's coverage in that window.
-  [[nodiscard]] PixelLikelihood crop(int gx0, int gy0, int w, int h) const;
-
-  /// Write a crop's coverage back into this raster and fold its covered-gain
-  /// delta (relative to when the crop was taken) into the running total.
-  void absorbCrop(const PixelLikelihood& cropped) noexcept;
-
-  /// Covered-gain change accumulated by this crop since construction.
-  [[nodiscard]] double coveredGainDeltaSinceCrop() const noexcept {
-    return coveredGain_ - initialCoveredGain_;
-  }
-
  private:
   LikelihoodParams params_;
   int originX_ = 0;
@@ -139,7 +123,6 @@ class PixelLikelihood {
   img::Image<std::uint16_t> coverage_; // number of discs covering each pixel
   double constTerm_ = 0.0;             // sum of background log-densities
   double coveredGain_ = 0.0;
-  double initialCoveredGain_ = 0.0;    // value at construction (crops)
 };
 
 }  // namespace mcmcpar::model

@@ -38,14 +38,6 @@ ModelState::ModelState(const img::ImageF& filtered, const PriorParams& prior,
   logPosterior_ = recomputeLogPosterior();
 }
 
-ModelState::ModelState(PixelLikelihood likelihood, const PriorParams& prior)
-    : prior_(prior, likelihood.width(), likelihood.height()),
-      likelihood_(std::move(likelihood)),
-      bounds_(boundsOf(likelihood_)),
-      config_(makeConfig(bounds_, prior_)) {
-  logPosterior_ = recomputeLogPosterior();
-}
-
 double ModelState::recomputeLogPosterior() const {
   const auto circles = config_.snapshot();
   const double coveredGain = likelihood_.referenceCoveredGain(circles);

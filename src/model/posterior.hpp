@@ -35,8 +35,8 @@ struct Bounds {
 /// coverage raster and the spatial grid synchronised.
 ///
 /// A ModelState may cover a crop of a larger image (intelligent/blind
-/// partitioning, split/merge periodic phases); circle coordinates are always
-/// global, and `bounds()` reflects the crop.
+/// partitioning); circle coordinates are always global, and `bounds()`
+/// reflects the crop.
 class ModelState {
  public:
   /// State over `filtered` (a stain-emphasised intensity image). The domain
@@ -44,9 +44,6 @@ class ModelState {
   ModelState(const img::ImageF& filtered, const PriorParams& prior,
              const LikelihoodParams& likelihood, int originX = 0,
              int originY = 0);
-
-  /// State with an already-cropped likelihood (split/merge executor).
-  ModelState(PixelLikelihood likelihood, const PriorParams& prior);
 
   [[nodiscard]] const Configuration& config() const noexcept { return config_; }
   [[nodiscard]] const CirclePrior& prior() const noexcept { return prior_; }
@@ -94,23 +91,15 @@ class ModelState {
                                             const Circle& c2);
 
   // --- executor API (see docs/ARCHITECTURE.md, "Periodic in-place") ------
-  // The periodic executors need finer-grained access: the in-place executor
-  // commits replaces from worker threads accumulating scalar deltas locally,
-  // and the split/merge executor writes back geometry whose likelihood
-  // effect was already absorbed through PixelLikelihood::absorbCrop.
-  // External synchronisation is the caller's responsibility.
+  // The periodic sampler's local phases need finer-grained access: their
+  // sessions commit replaces from worker threads and accumulate the scalar
+  // deltas locally. External synchronisation is the caller's responsibility.
 
   /// Non-const configuration (executor use only).
   [[nodiscard]] Configuration& configMutable() noexcept { return config_; }
   /// Non-const likelihood (executor use only).
   [[nodiscard]] PixelLikelihood& likelihoodMutable() noexcept {
     return likelihood_;
-  }
-  /// Replace geometry without touching the likelihood raster or the cached
-  /// posterior (split/merge write-back; the deltas arrive via
-  /// `adjustLogPosterior` + `PixelLikelihood::absorbCrop`).
-  void replaceGeometryOnly(CircleId id, const Circle& c) {
-    config_.replace(id, c);
   }
   /// Fold an externally computed posterior delta into the cache.
   void adjustLogPosterior(double delta) noexcept { logPosterior_ += delta; }

@@ -98,16 +98,4 @@ IRect snapToPixels(const model::Bounds& b, int imageWidth, int imageHeight) {
   return IRect{x0, y0, x1 - x0, y1 - y0};
 }
 
-IRect roundToPixels(const model::Bounds& b, int imageWidth, int imageHeight) {
-  const int x0 =
-      std::clamp(static_cast<int>(std::lround(b.x0)), 0, imageWidth);
-  const int y0 =
-      std::clamp(static_cast<int>(std::lround(b.y0)), 0, imageHeight);
-  const int x1 =
-      std::clamp(static_cast<int>(std::lround(b.x1)), x0, imageWidth);
-  const int y1 =
-      std::clamp(static_cast<int>(std::lround(b.y1)), y0, imageHeight);
-  return IRect{x0, y0, x1 - x0, y1 - y0};
-}
-
 }  // namespace mcmcpar::partition

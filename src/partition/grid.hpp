@@ -20,11 +20,6 @@ struct IRect {
   [[nodiscard]] bool containsPoint(double x, double y) const noexcept {
     return x >= x0 && x < x0 + w && y >= y0 && y < y0 + h;
   }
-  [[nodiscard]] model::Bounds toBounds() const noexcept {
-    return model::Bounds{static_cast<double>(x0), static_cast<double>(y0),
-                         static_cast<double>(x0 + w),
-                         static_cast<double>(y0 + h)};
-  }
 
   friend bool operator==(const IRect&, const IRect&) = default;
 };
@@ -70,11 +65,5 @@ struct GridSpec {
 /// the high edge never exceeding the domain), for raster crops.
 [[nodiscard]] IRect snapToPixels(const model::Bounds& b, int imageWidth,
                                  int imageHeight);
-
-/// Round each edge to the nearest pixel. Cells sharing a cut line round it
-/// identically, so rounding a disjoint tiling keeps it disjoint — this is
-/// what the split/merge executor uses to turn grid cells into crop rects.
-[[nodiscard]] IRect roundToPixels(const model::Bounds& b, int imageWidth,
-                                  int imageHeight);
 
 }  // namespace mcmcpar::partition

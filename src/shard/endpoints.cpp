@@ -132,7 +132,10 @@ std::string formatEndpointList(const std::vector<Endpoint>& endpoints) {
   for (const Endpoint& endpoint : endpoints) {
     if (!out.empty()) out += ',';
     out += endpoint.label();
-    if (endpoint.weight != 1) out += "*" + std::to_string(endpoint.weight);
+    if (endpoint.weight != 1) {
+      out += '*';
+      out += std::to_string(endpoint.weight);
+    }
   }
   return out;
 }

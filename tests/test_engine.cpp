@@ -136,14 +136,14 @@ TEST(StrategyRegistry, UnknownAndMalformedOptionsAreDescriptiveErrors) {
                EngineError);
   EXPECT_THROW((void)registry.create("mc3", {}, {"swap-interval=0"}),
                EngineError);
-  EXPECT_THROW((void)registry.create("periodic", {}, {"executor=warp"}),
-               EngineError);
   // Threads come from the lease, not from strategy options: periodic has
-  // only the in-place and split-merge executors, and mc3 no parallel= knob.
-  for (const char* executor : {"executor=auto", "executor=serial",
-                               "executor=pool", "executor=omp",
-                               "executor=split-serial",
-                               "executor=split-pool"}) {
+  // one local-phase executor and no executor= option, and mc3 no parallel=
+  // knob.
+  for (const char* executor : {"executor=warp", "executor=auto",
+                               "executor=serial", "executor=pool",
+                               "executor=omp", "executor=split-serial",
+                               "executor=split-pool", "executor=in-place",
+                               "executor=split-merge"}) {
     EXPECT_THROW((void)registry.create("periodic", {}, {executor}),
                  EngineError)
         << executor;
@@ -413,8 +413,7 @@ const std::vector<LeasedRun>& parallelStrategies() {
   static const std::vector<LeasedRun> runs = {
       {"speculative", {}},
       {"mc3", {}},
-      {"periodic", {"executor=in-place"}},
-      {"periodic", {"executor=split-merge"}},
+      {"periodic", {}},
       {"intelligent", {}},
       {"blind", {}},
       // The wrapper hands its lease to the inner strategy, frame by frame.
@@ -482,13 +481,12 @@ TEST(OneExecutorPerRun, ResultsDoNotDependOnTheThreadCount) {
 
   std::vector<std::pair<LeasedRun, std::vector<unsigned>>> cases;
   for (const LeasedRun& run : parallelStrategies()) {
-    // The 1-thread in-place run uses margin 0 by design: its sessions run
+    // The 1-thread periodic run uses margin 0 by design: its sessions run
     // one at a time, so it needs no safety margin and samples differently.
-    const bool inPlace = !run.options.empty() &&
-                         run.options[0] == "executor=in-place";
+    const bool periodic = std::string(run.strategy) == "periodic";
     cases.push_back(
-        {run, inPlace ? std::vector<unsigned>{2, 4}
-                      : std::vector<unsigned>{1, 2, 4}});
+        {run, periodic ? std::vector<unsigned>{2, 4}
+                       : std::vector<unsigned>{1, 2, 4}});
   }
   for (const auto& [run, threadCounts] : cases) {
     const auto runAt = [&, &run = run](unsigned threads) {

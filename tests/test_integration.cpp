@@ -88,8 +88,9 @@ TEST(Integration, PeriodicMatchesSequentialQuality) {
     core::PeriodicParams params;
     params.totalIterations = 50000;
     params.globalPhaseIterations = 52;  // ~130 total per cycle at qg=0.4
-    params.executor = core::LocalExecutor::SplitMerge;
-    core::PeriodicSampler sampler(state, registry, params, seed);
+    // Concurrent local sessions on the caller and 2 workers.
+    par::ThreadPool pool(2);
+    core::PeriodicSampler sampler(state, registry, params, seed, &pool);
     sampler.run();
     return analysis::scoreCircles(state.config().snapshot(), truth, 6.0);
   };
@@ -117,8 +118,8 @@ TEST(Integration, PeriodicLeavesNoBoundaryAnomalyExcess) {
   core::PeriodicParams params;
   params.totalIterations = 50000;
   params.globalPhaseIterations = 52;
-  params.executor = core::LocalExecutor::SplitMerge;
-  core::PeriodicSampler sampler(state, registry, params, 77);
+  par::ThreadPool pool(2);
+  core::PeriodicSampler sampler(state, registry, params, 77, &pool);
   sampler.run();
 
   // Audit against the *average* cross position (centre lines).

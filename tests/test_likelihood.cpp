@@ -166,57 +166,6 @@ TEST(PixelLikelihood, ResynchroniseCancelsInjectedDrift) {
   EXPECT_NEAR(lik.coveredGain(), clean, 1e-9);
 }
 
-TEST(PixelLikelihood, CropSeesParentCoverage) {
-  const img::ImageF im = randomImage(64, 64, 25);
-  PixelLikelihood lik(im, testParams());
-  const Circle border{30, 30, 6};
-  lik.adjustCoveredGain(lik.applyAdd(border));
-  const PixelLikelihood crop = lik.crop(24, 24, 24, 24);
-  EXPECT_EQ(crop.originX(), 24);
-  EXPECT_EQ(crop.coverageAt(30, 30), lik.coverageAt(30, 30));
-  EXPECT_EQ(crop.coveredGainDeltaSinceCrop(), 0.0);
-}
-
-TEST(PixelLikelihood, CropDeltaEqualsParentDelta) {
-  const img::ImageF im = randomImage(64, 64, 27);
-  PixelLikelihood lik(im, testParams());
-  PixelLikelihood crop = lik.crop(16, 16, 32, 32);
-  const Circle inside{32, 32, 6};  // global coords, fully inside the crop
-  EXPECT_NEAR(crop.deltaAdd(inside), lik.deltaAdd(inside), 1e-9);
-}
-
-TEST(PixelLikelihood, AbsorbCropRoundTripsAgainstDirectOps) {
-  const img::ImageF im = randomImage(64, 64, 29);
-  // Two identical parents: one runs ops through a crop, one directly.
-  PixelLikelihood viaCrop(im, testParams());
-  PixelLikelihood direct(im, testParams());
-  const Circle pre{20, 20, 6};
-  viaCrop.adjustCoveredGain(viaCrop.applyAdd(pre));
-  direct.adjustCoveredGain(direct.applyAdd(pre));
-
-  PixelLikelihood crop = viaCrop.crop(8, 8, 40, 40);
-  const Circle added{28, 28, 5};
-  const Circle removedThenMoved{20, 20, 6};
-  crop.adjustCoveredGain(crop.applyAdd(added));
-  crop.adjustCoveredGain(crop.applyRemove(removedThenMoved));
-  const Circle moved{24, 18, 6};
-  crop.adjustCoveredGain(crop.applyAdd(moved));
-  viaCrop.absorbCrop(crop);
-
-  direct.adjustCoveredGain(direct.applyAdd(added));
-  direct.adjustCoveredGain(direct.applyRemove(removedThenMoved));
-  direct.adjustCoveredGain(direct.applyAdd(moved));
-
-  EXPECT_NEAR(viaCrop.coveredGain(), direct.coveredGain(), 1e-9);
-  EXPECT_NEAR(viaCrop.logLikelihood(), direct.logLikelihood(), 1e-9);
-  for (int y = 0; y < 64; ++y) {
-    for (int x = 0; x < 64; ++x) {
-      ASSERT_EQ(viaCrop.coverageAt(x, y), direct.coverageAt(x, y))
-          << x << "," << y;
-    }
-  }
-}
-
 TEST(PixelLikelihood, ApplyRemoveOnUncoveredPixelsClampsInsteadOfWrapping) {
   // Regression: removing a circle that was never applied used to wrap the
   // uint16 coverage to 65535 in Release builds (the assert compiled out),
@@ -499,6 +448,15 @@ std::vector<Circle> populate(PixelLikelihood& lik, int w, int h, int count,
   return applied;
 }
 
+/// A likelihood over the image window [x0, x0+w) x [y0, y0+h), kept in
+/// global coordinates, with `circles` applied (clipped by its border).
+PixelLikelihood cropWith(const img::ImageF& im, int x0, int y0, int w, int h,
+                         const std::vector<Circle>& circles) {
+  PixelLikelihood lik(im.crop(x0, y0, w, h), testParams(), x0, y0);
+  for (const Circle& c : circles) lik.adjustCoveredGain(lik.applyAdd(c));
+  return lik;
+}
+
 TEST(PixelLikelihood, DeltaReplaceBitMatchesTwoPassReference) {
   const img::ImageF im = wideGainImage(96, 80, 31);
   PixelLikelihood full(im, testParams());
@@ -506,7 +464,7 @@ TEST(PixelLikelihood, DeltaReplaceBitMatchesTwoPassReference) {
   const std::vector<Circle> applied = populate(full, 96, 80, 40, s);
   // A crop with a non-zero origin sees the same circles in global
   // coordinates, most of them clipped by its border.
-  const PixelLikelihood crop = full.crop(17, 11, 53, 47);
+  const PixelLikelihood crop = cropWith(im, 17, 11, 53, 47, applied);
   int cases = 0;
   for (const PixelLikelihood* lik : {&std::as_const(full), &crop}) {
     for (int i = 0; i < 6000; ++i, ++cases) {
@@ -531,7 +489,7 @@ TEST(PixelLikelihood, DeltaMultipleBitMatchesSplatReference) {
   PixelLikelihood full(im, testParams());
   rng::Stream s(37);
   const std::vector<Circle> applied = populate(full, 96, 80, 40, s);
-  const PixelLikelihood crop = full.crop(17, 11, 53, 47);
+  const PixelLikelihood crop = cropWith(im, 17, 11, 53, 47, applied);
   struct BackendGuard {
     kernels::Backend saved = kernels::activeBackend();
     ~BackendGuard() { kernels::setBackend(saved); }

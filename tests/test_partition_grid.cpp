@@ -138,24 +138,5 @@ TEST(SnapToPixels, OutwardLowInwardHighClipped) {
   EXPECT_EQ(r.y0 + r.h, 12);
 }
 
-TEST(RoundToPixels, SharedCutLinesStayDisjoint) {
-  const Bounds domain{0, 0, 101, 97};
-  const auto cells = crossPartitions(domain, 33.7, 48.2);
-  long long area = 0;
-  for (const Bounds& c : cells) {
-    const IRect r = roundToPixels(c, 101, 97);
-    area += r.area();
-  }
-  EXPECT_EQ(area, 101LL * 97LL);  // disjoint + covering after rounding
-}
-
-TEST(IRect, ToBoundsRoundTrip) {
-  const IRect r{3, 4, 10, 20};
-  const Bounds b = r.toBounds();
-  EXPECT_EQ(b.x0, 3.0);
-  EXPECT_EQ(b.y1, 24.0);
-  EXPECT_EQ(b.width(), 10.0);
-}
-
 }  // namespace
 }  // namespace mcmcpar::partition

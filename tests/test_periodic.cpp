@@ -57,43 +57,31 @@ TEST(PartitionStream, DeterministicAndPairSensitive) {
   EXPECT_EQ(equal, 0);
 }
 
-PeriodicParams baseParams(LocalExecutor executor) {
+PeriodicParams baseParams() {
   PeriodicParams p;
   p.totalIterations = 6000;
   p.globalPhaseIterations = 40;
-  p.executor = executor;
   return p;
 }
 
-/// The sweep's sampler setups: an executor and the size of the pool that
-/// runs its sessions (0 = no pool, sessions run on the calling thread).
+/// The sweep's sampler setups: the size of the pool that runs the local
+/// sessions (0 = no pool, sessions run on the calling thread).
 enum class Setup : std::uint8_t {
   InPlaceNoPool,
   InPlacePool,
   InPlaceWidePool,  ///< caller + 3 workers: every cross partition at once
-  SplitMergeNoPool,
-  SplitMergePool,
 };
 
-struct SetupParts {
-  LocalExecutor executor;
-  unsigned poolWorkers;
-};
-
-SetupParts parts(Setup setup) {
+unsigned poolWorkers(Setup setup) {
   switch (setup) {
     case Setup::InPlaceNoPool:
-      return {LocalExecutor::InPlace, 0};
+      return 0;
     case Setup::InPlacePool:
-      return {LocalExecutor::InPlace, 2};
+      return 2;
     case Setup::InPlaceWidePool:
-      return {LocalExecutor::InPlace, 3};
-    case Setup::SplitMergeNoPool:
-      return {LocalExecutor::SplitMerge, 0};
-    case Setup::SplitMergePool:
-      return {LocalExecutor::SplitMerge, 2};
+      return 3;
   }
-  return {LocalExecutor::InPlace, 0};
+  return 0;
 }
 
 std::unique_ptr<par::ThreadPool> poolOf(unsigned workers) {
@@ -104,13 +92,11 @@ class ExecutorSweep : public ::testing::TestWithParam<Setup> {};
 
 TEST_P(ExecutorSweep, RunsAndKeepsPosteriorCacheConsistent) {
   Fixture f(1);
-  const SetupParts setup = parts(GetParam());
-  const auto pool = poolOf(setup.poolWorkers);
-  PeriodicSampler sampler(f.state, f.registry, baseParams(setup.executor), 99,
-                          pool.get());
+  const auto pool = poolOf(poolWorkers(GetParam()));
+  PeriodicSampler sampler(f.state, f.registry, baseParams(), 99, pool.get());
   const PeriodicReport report = sampler.run();
   EXPECT_GE(report.globalIterations + report.localIterations,
-            baseParams(setup.executor).totalIterations);
+            baseParams().totalIterations);
   EXPECT_GT(report.phases, 0u);
   // run() resynchronises; recompute must agree exactly after that.
   EXPECT_NEAR(f.state.logPosterior(), f.state.recomputeLogPosterior(), 1e-6);
@@ -118,12 +104,11 @@ TEST_P(ExecutorSweep, RunsAndKeepsPosteriorCacheConsistent) {
 }
 
 TEST_P(ExecutorSweep, MoveMixMatchesQg) {
-  // The in-place executors' safety margin needs partitions large enough to
+  // The pooled setups' safety margin needs partitions large enough to
   // leave modifiable circles; use a bigger scene.
   Fixture f(2, 384);
-  const SetupParts setup = parts(GetParam());
-  const auto pool = poolOf(setup.poolWorkers);
-  PeriodicParams params = baseParams(setup.executor);
+  const auto pool = poolOf(poolWorkers(GetParam()));
+  PeriodicParams params = baseParams();
   params.totalIterations = 20000;
   PeriodicSampler sampler(f.state, f.registry, params, 100, pool.get());
   const PeriodicReport report = sampler.run();
@@ -141,16 +126,14 @@ TEST_P(ExecutorSweep, MoveMixMatchesQg) {
 INSTANTIATE_TEST_SUITE_P(Executors, ExecutorSweep,
                          ::testing::Values(Setup::InPlaceNoPool,
                                            Setup::InPlacePool,
-                                           Setup::InPlaceWidePool,
-                                           Setup::SplitMergeNoPool,
-                                           Setup::SplitMergePool));
+                                           Setup::InPlaceWidePool));
 
 TEST(PeriodicSampler, SerialAndPoolAgreeExactly) {
   // Partition sessions are independent (disjoint writes, pre-derived
   // streams, thread-locally accumulated deltas), so running them on a pool
   // must produce the same chain as running them on the calling thread.
   Fixture a(3, 384), b(3, 384);
-  PeriodicParams params = baseParams(LocalExecutor::InPlace);
+  PeriodicParams params = baseParams();
   params.margin = 48.0;  // align the candidate sets
   par::ThreadPool pool(2);
   PeriodicSampler sa(a.state, a.registry, params, 7);
@@ -162,14 +145,16 @@ TEST(PeriodicSampler, SerialAndPoolAgreeExactly) {
 }
 
 TEST(PeriodicSampler, AutomaticMarginFollowsThePool) {
-  // Concurrent in-place sessions get the safety margin; the same sessions
-  // run one at a time get margin 0, the split/merge executor gets 0 either
-  // way. Equal automatic and explicit margins give bit-identical chains.
-  const auto finalLogP = [](LocalExecutor executor, double margin,
-                            par::ThreadPool* pool) {
+  // Concurrent sessions get the safety margin; the same sessions run one at
+  // a time get margin 0, unless a virtual-time run models them on more than
+  // one thread. Equal automatic and explicit margins give bit-identical
+  // chains.
+  const auto finalLogP = [](double margin, par::ThreadPool* pool,
+                            unsigned virtualThreads = 0) {
     Fixture f(12, 384);
-    PeriodicParams params = baseParams(executor);
+    PeriodicParams params = baseParams();
     params.margin = margin;
+    params.virtualThreads = virtualThreads;
     PeriodicSampler sampler(f.state, f.registry, params, 16, pool);
     sampler.run();
     return f.state.logPosterior();
@@ -178,40 +163,16 @@ TEST(PeriodicSampler, AutomaticMarginFollowsThePool) {
   const double safety = partition::inPlaceSafetyMargin(probe.state);
   ASSERT_GT(safety, 0.0);
   par::ThreadPool pool(2);
-  EXPECT_EQ(finalLogP(LocalExecutor::InPlace, -1.0, &pool),
-            finalLogP(LocalExecutor::InPlace, safety, &pool));
-  EXPECT_EQ(finalLogP(LocalExecutor::InPlace, -1.0, nullptr),
-            finalLogP(LocalExecutor::InPlace, 0.0, nullptr));
-  EXPECT_EQ(finalLogP(LocalExecutor::SplitMerge, -1.0, &pool),
-            finalLogP(LocalExecutor::SplitMerge, 0.0, nullptr));
-}
-
-TEST(PeriodicSampler, SplitMergeStatisticallyMatchesSharedState) {
-  // Deltas computed on crops differ from the shared-state path only in
-  // floating-point summation order, but a single knife-edge accept flip
-  // makes trajectories diverge chaotically; compare distribution-level
-  // outcomes rather than bitwise state.
-  Fixture a(5), b(5);
-  PeriodicParams ps = baseParams(LocalExecutor::InPlace);
-  ps.margin = 0.0;  // align margins between the executors
-  PeriodicParams pm = baseParams(LocalExecutor::SplitMerge);
-  pm.margin = 0.0;
-  PeriodicSampler sa(a.state, a.registry, ps, 9);
-  PeriodicSampler sb(b.state, b.registry, pm, 9);
-  sa.run();
-  sb.run();
-  const auto na = static_cast<double>(a.state.config().size());
-  const auto nb = static_cast<double>(b.state.config().size());
-  EXPECT_NEAR(na, nb, 4.0);
-  const double rel = std::abs(a.state.logPosterior() - b.state.logPosterior()) /
-                     std::max(1.0, std::abs(a.state.logPosterior()));
-  EXPECT_LT(rel, 0.05);
+  EXPECT_EQ(finalLogP(-1.0, &pool), finalLogP(safety, &pool));
+  EXPECT_EQ(finalLogP(-1.0, nullptr), finalLogP(0.0, nullptr));
+  EXPECT_EQ(finalLogP(-1.0, nullptr, 4), finalLogP(safety, nullptr, 4));
+  EXPECT_EQ(finalLogP(-1.0, nullptr, 1), finalLogP(0.0, nullptr, 1));
 }
 
 TEST(PeriodicSampler, ImprovesPosteriorLikeSequential) {
   Fixture f(6);
   const double before = f.state.logPosterior();
-  PeriodicParams params = baseParams(LocalExecutor::InPlace);
+  PeriodicParams params = baseParams();
   params.totalIterations = 15000;
   PeriodicSampler sampler(f.state, f.registry, params, 10);
   sampler.run();
@@ -220,7 +181,7 @@ TEST(PeriodicSampler, ImprovesPosteriorLikeSequential) {
 
 TEST(PeriodicSampler, UniformGridLayoutWorks) {
   Fixture f(7);
-  PeriodicParams params = baseParams(LocalExecutor::InPlace);
+  PeriodicParams params = baseParams();
   params.layout = PartitionLayout::UniformGrid;
   params.gridSpacingX = 96;
   params.gridSpacingY = 96;
@@ -232,7 +193,7 @@ TEST(PeriodicSampler, UniformGridLayoutWorks) {
 
 TEST(PeriodicSampler, VirtualClockChargesMakespan) {
   Fixture f(8);
-  PeriodicParams params = baseParams(LocalExecutor::InPlace);
+  PeriodicParams params = baseParams();
   params.virtualThreads = 4;
   PeriodicSampler sampler(f.state, f.registry, params, 12);
   const PeriodicReport report = sampler.run();
@@ -243,7 +204,7 @@ TEST(PeriodicSampler, VirtualClockChargesMakespan) {
 
 TEST(PeriodicSampler, SpeculativeGlobalPhasesPreserveChain) {
   Fixture f(9);
-  PeriodicParams params = baseParams(LocalExecutor::InPlace);
+  PeriodicParams params = baseParams();
   params.specLanesGlobal = 4;
   PeriodicSampler sampler(f.state, f.registry, params, 13);
   const PeriodicReport report = sampler.run();
@@ -253,7 +214,7 @@ TEST(PeriodicSampler, SpeculativeGlobalPhasesPreserveChain) {
 
 TEST(PeriodicSampler, TraceRecordedWhenRequested) {
   Fixture f(10);
-  PeriodicParams params = baseParams(LocalExecutor::InPlace);
+  PeriodicParams params = baseParams();
   params.traceInterval = 500;
   PeriodicSampler sampler(f.state, f.registry, params, 14);
   const PeriodicReport report = sampler.run();
@@ -263,7 +224,7 @@ TEST(PeriodicSampler, TraceRecordedWhenRequested) {
 TEST(PeriodicSampler, LocalMovesNeverChangeCount) {
   Fixture f(11);
   const std::size_t before = f.state.config().size();
-  PeriodicParams params = baseParams(LocalExecutor::InPlace);
+  PeriodicParams params = baseParams();
   params.globalPhaseIterations = 1;
   // One global move per phase: count changes only through those; verify the
   // local iterations never break the dimension bookkeeping by checking the

@@ -84,8 +84,9 @@ TEST(ModelState, DeltasPredictCommitEffects) {
 }
 
 TEST(ModelState, ExecutorPathEqualsCommitReplace) {
-  // replaceGeometryOnly + manual likelihood ops + adjustLogPosterior must
-  // land in exactly the same state as commitReplace.
+  // The periodic local session's path (manual likelihood ops +
+  // configMutable().replace + adjustLogPosterior) must land in exactly the
+  // same state as commitReplace.
   ModelState a = makeState(7);
   ModelState b = makeState(7);
   rng::Stream sa(13), sb(13);
@@ -100,7 +101,7 @@ TEST(ModelState, ExecutorPathEqualsCommitReplace) {
   auto& lik = b.likelihoodMutable();
   lik.adjustCoveredGain(lik.applyRemove(b.config().get(id)));
   lik.adjustCoveredGain(lik.applyAdd(to));
-  b.replaceGeometryOnly(id, to);
+  b.configMutable().replace(id, to);
   b.adjustLogPosterior(delta);
 
   EXPECT_NEAR(a.logPosterior(), b.logPosterior(), 1e-9);

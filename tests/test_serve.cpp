@@ -728,7 +728,9 @@ TEST_F(SocketFixture, OversizedSequenceGlobIsRejectedBeforeAnyFrameIsRead) {
   // and an untouched cache show that none was read.
   const TempDir dir;
   for (std::uint64_t k = 0; k <= stream::kMaxFrames; ++k) {
-    std::ofstream(dir.path / ("f" + std::to_string(k) + ".pgm"));
+    std::string name = "f";
+    name += std::to_string(k);
+    std::ofstream(dir.path / (name + ".pgm"));
   }
   const std::string reply = client.request(
       "SUBMIT frames serial @sequence=" + (dir.path / "f*.pgm").string());

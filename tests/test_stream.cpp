@@ -64,8 +64,12 @@ TEST(Matching, IoUMatchingPairsGreedilyAndReportsLeftovers) {
       analysis::matchCirclesIoU(found, truth, 0.25);
   ASSERT_EQ(result.matches.size(), 2u);
   for (const analysis::IouMatch& m : result.matches) {
-    if (m.truthIndex == 0) EXPECT_EQ(m.foundIndex, 1u);
-    if (m.truthIndex == 1) EXPECT_EQ(m.foundIndex, 0u);
+    if (m.truthIndex == 0) {
+      EXPECT_EQ(m.foundIndex, 1u);
+    }
+    if (m.truthIndex == 1) {
+      EXPECT_EQ(m.foundIndex, 0u);
+    }
     EXPECT_GE(m.iou, 0.25);
   }
   ASSERT_EQ(result.unmatchedFound.size(), 1u);
@@ -290,7 +294,9 @@ TEST(FrameHelpers, EveryFrameSourceIsCappedBeforeAnyFrameIsRead) {
       ("mcmcpar_stream_cap_" + std::to_string(::getpid()));
   fs::create_directories(dir);
   for (std::uint64_t k = 0; k <= stream::kMaxFrames; ++k) {
-    std::ofstream(dir / ("f" + std::to_string(k) + ".pgm"));
+    std::string name = "f";
+    name += std::to_string(k);
+    std::ofstream(dir / (name + ".pgm"));
   }
   EXPECT_THROW(
       (void)stream::resolveFrames((dir / "f*.pgm").string(), &scene, noDisk),

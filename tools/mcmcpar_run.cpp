@@ -9,7 +9,7 @@
 //   mcmcpar_run --strategy serial --iterations 20000
 //   mcmcpar_run --strategy all --iterations 5000 --width 192 --cells 10
 //   mcmcpar_run --strategy mc3 --opt chains=6 --opt swap-interval=50
-//   mcmcpar_run --strategy periodic --opt executor=split-merge --progress
+//   mcmcpar_run --strategy periodic --opt phase=260 --progress
 //   mcmcpar_run --batch jobs.txt --threads 8 --iterations 10000
 //   mcmcpar_run --shard 2x2 --strategy serial --image big.pgm --opt halo=16
 //   mcmcpar_run --sequence 'frames/*.pgm' --strategy serial --opt track=0
