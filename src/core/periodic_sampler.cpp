@@ -248,8 +248,11 @@ struct PeriodicSampler::Impl {
         report.cancelled = true;
         break;
       }
+      // The last global phase is cut to what is left of the budget, like
+      // the local phase below.
       const std::uint64_t beforeGlobal = report.globalIterations;
-      runGlobalPhase(zg, phaseStream, report, vclock);
+      runGlobalPhase(std::min(zg, params.totalIterations - done), phaseStream,
+                     report, vclock);
       done += report.globalIterations - beforeGlobal;
       if (done >= params.totalIterations) {
         ++report.phases;

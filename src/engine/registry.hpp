@@ -45,6 +45,14 @@ struct InnerStrategy {
                                           const std::string& wrapper,
                                           const OptionMap& options);
 
+/// Whole-image log posterior of a recombined model — the merged circles of
+/// a partition pipeline or a sharded run, scored on `problem`'s image and
+/// likelihood under `prior` — comparable with an unpartitioned run of the
+/// same problem (per-partition and per-tile values are not).
+[[nodiscard]] double mergedLogPosterior(
+    const Problem& problem, const model::PriorParams& prior,
+    const std::vector<model::Circle>& merged);
+
 /// String-keyed strategy catalogue: the integration point for every
 /// front-end (CLI, benches, future server). New scenarios are selected by
 /// name, never by hand-wired setup code.

@@ -4,22 +4,6 @@
 
 namespace mcmcpar::img {
 
-std::vector<Span> discSpans(double cx, double cy, double r, int width,
-                            int height) {
-  std::vector<Span> spans;
-  if (!(r > 0.0) || width <= 0 || height <= 0) return spans;
-  // One span per intersected row, so the clipped row count is an exact upper
-  // bound (the previous 2r+2 estimate over-allocated unboundedly for giant
-  // radii on small rasters).
-  const RowRange rows = discRowRange(cy, r, height);
-  if (rows.y0 > rows.y1) return spans;
-  spans.reserve(static_cast<std::size_t>(rows.y1 - rows.y0 + 1));
-  forEachDiscSpan(cx, cy, r, width, height, [&spans](int y, int x0, int x1) {
-    spans.push_back(Span{y, x0, x1});
-  });
-  return spans;
-}
-
 std::size_t discPixelCount(double cx, double cy, double r, int width,
                            int height) noexcept {
   std::size_t count = 0;

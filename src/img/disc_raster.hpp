@@ -3,18 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "img/image.hpp"
 
 namespace mcmcpar::img {
-
-/// A horizontal run of pixels belonging to a disc: row y, columns [x0, x1).
-struct Span {
-  int y;
-  int x0;
-  int x1;
-};
 
 /// Pixel-membership rule used everywhere in the library: pixel (x, y) belongs
 /// to the disc of centre (cx, cy) and radius r iff its centre point
@@ -97,8 +89,8 @@ struct RowSpan {
 /// Invoke fn(y, x0, x1) for every non-empty row span of the disc clipped to a
 /// width x height raster (x1 exclusive). This is the primitive the likelihood
 /// kernels walk: one sqrt per row, and the [x0, x1) payload is contiguous in
-/// memory, so the per-span work vectorises. forEachDiscPixel and discSpans
-/// are thin wrappers, guaranteeing all three enumerate identical pixel sets.
+/// memory, so the per-span work vectorises. forEachDiscPixel is a thin
+/// wrapper, guaranteeing both enumerate identical pixel sets.
 template <typename Fn>
 void forEachDiscSpan(double cx, double cy, double r, int width, int height,
                      Fn&& fn) {
@@ -120,11 +112,6 @@ void forEachDiscPixel(double cx, double cy, double r, int width, int height,
     for (int x = x0; x < x1; ++x) fn(x, y);
   });
 }
-
-/// Collect the clipped disc as spans (a materialised list, for callers that
-/// walk the same disc more than once).
-[[nodiscard]] std::vector<Span> discSpans(double cx, double cy, double r,
-                                          int width, int height);
 
 /// Number of raster pixels of the clipped disc.
 [[nodiscard]] std::size_t discPixelCount(double cx, double cy, double r,

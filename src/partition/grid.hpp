@@ -61,9 +61,4 @@ struct GridSpec {
 /// (blind partitioning's "simple grid"; also used to build crop rects).
 [[nodiscard]] std::vector<IRect> tileImage(int width, int height, int gx, int gy);
 
-/// Clip a Bounds to integer pixels (outward for the low edge, inward for
-/// the high edge never exceeding the domain), for raster crops.
-[[nodiscard]] IRect snapToPixels(const model::Bounds& b, int imageWidth,
-                                 int imageHeight);
-
 }  // namespace mcmcpar::partition

@@ -12,6 +12,9 @@ namespace mcmcpar::shard {
 
 namespace {
 
+/// Seconds one EndpointPool health probe waits for `OK pong`.
+constexpr double kPingTimeoutSeconds = 5.0;
+
 /// Parse `host:port[*weight]` (one endpoints= list token) or `host:port`
 /// with an already-split weight (one endpoints-file line). Throws
 /// engine::EngineError with `context` prefixed.
@@ -151,10 +154,8 @@ bool pingEndpoint(const Endpoint& endpoint, double timeoutSeconds) {
 }
 
 EndpointPool::EndpointPool(std::vector<Endpoint> endpoints,
-                           double pingTimeoutSeconds,
                            double pingIntervalSeconds)
-    : pingTimeoutSeconds_(pingTimeoutSeconds),
-      pingInterval_(std::chrono::duration_cast<
+    : pingInterval_(std::chrono::duration_cast<
                     std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(pingIntervalSeconds))) {
   states_.reserve(endpoints.size());
@@ -180,7 +181,7 @@ std::size_t EndpointPool::aliveCount() const noexcept {
 std::size_t EndpointPool::checkAll() {
   const auto now = std::chrono::steady_clock::now();
   for (State& state : states_) {
-    state.alive = pingEndpoint(state.endpoint, pingTimeoutSeconds_);
+    state.alive = pingEndpoint(state.endpoint, kPingTimeoutSeconds);
     state.lastProbe = now;
   }
   return aliveCount();
@@ -190,7 +191,7 @@ void EndpointPool::refresh() {
   const auto now = std::chrono::steady_clock::now();
   for (State& state : states_) {
     if (now - state.lastProbe < pingInterval_) continue;
-    state.alive = pingEndpoint(state.endpoint, pingTimeoutSeconds_);
+    state.alive = pingEndpoint(state.endpoint, kPingTimeoutSeconds);
     state.lastProbe = now;
   }
 }

@@ -48,13 +48,13 @@ struct Endpoint {
 [[nodiscard]] bool pingEndpoint(const Endpoint& endpoint,
                                 double timeoutSeconds);
 
-/// The coordinator's view of a fleet: per-endpoint liveness (PING-probed)
-/// and in-flight load, with weighted least-loaded selection. NOT
-/// thread-safe — the shard coordinator drives its fan-out from one thread.
+/// The coordinator's view of a fleet: per-endpoint liveness (PING-probed,
+/// 5 s per probe) and in-flight load, with weighted least-loaded
+/// selection. NOT thread-safe — the shard coordinator drives its fan-out
+/// from one thread.
 class EndpointPool {
  public:
   explicit EndpointPool(std::vector<Endpoint> endpoints,
-                        double pingTimeoutSeconds = 5.0,
                         double pingIntervalSeconds = 30.0);
 
   [[nodiscard]] std::size_t size() const noexcept { return states_.size(); }
@@ -103,7 +103,6 @@ class EndpointPool {
   };
 
   std::vector<State> states_;
-  double pingTimeoutSeconds_;
   std::chrono::steady_clock::duration pingInterval_;
 };
 

@@ -16,31 +16,26 @@ namespace mcmcpar::shard {
 /// custom registry.
 ///
 /// Options (all `key=value`):
-///   tiles=KxL        tile grid (default 2x2)
+///   tiles=KxL|auto   tile grid (default 2x2); auto sizes it per image
+///   max-tiles=N      tile cap for tiles=auto (default: from the workers)
+///   min-tile-size=N  smallest tile side for tiles=auto (default 32)
 ///   halo=N           overlap margin in pixels (default 16)
+///   hedge-factor=X   socket backend straggler hedging (default 0 = off)
 ///   backend=local|socket          (default local)
-///   endpoints=host:port[*weight][,...]   socket backend fleet. Tiles are
-///                    placed weighted-least-loaded on endpoints that
-///                    answered the startup PING check; a tile whose
-///                    endpoint dies mid-run is requeued onto a surviving
-///                    host (safe: the Stitcher is deterministic). Tile
-///                    crops travel as float32 binary frames (UPLOAD) and
-///                    the full radius prior + fixed count are forwarded
-///                    exactly, so no filesystem is shared and remote tiles
-///                    reproduce local-backend tiles bit-for-bit; custom
-///                    likelihood/moves/theta stay local-backend-only
-///                    (docs/ARCHITECTURE.md "Socket-backend fidelity")
+///   endpoints=host:port[*weight][,...]   socket backend fleet. Each tile
+///                    is one job line (docs/ARCHITECTURE.md "Socket-backend
+///                    fidelity"): its crop travels as a float32 UPLOAD
+///                    frame and it runs on the weighted least-loaded
+///                    endpoint that answered PING; a tile whose endpoint
+///                    dies mid-run is requeued onto a surviving host
 ///   endpoints-file=PATH   fleet from a file (one `host:port [weight]` per
 ///                    line, `#` comments), merged after endpoints=
-///   ping-timeout=X   health-probe PING timeout, seconds (default 5)
-///   ping-interval=X  min seconds between re-probes of an endpoint
-///                    (default 30)
 ///   strategy=NAME    inner per-tile strategy (default serial; "sharded"
 ///                    itself is rejected — no recursive sharding)
 ///   inner.K=V        forwarded to the inner strategy as K=V
 ///   tile-iters=N     per-tile budget override (default: the run budget
-///                    split across tiles proportional to core area)
-///   min-tile-iters=N floor of the proportional split (default 2000)
+///                    split across tiles by predicted workload)
+///   min-tile-iters=N floor of the workload split (default 2000)
 ///   iou=X            stitcher duplicate threshold (default 0.3)
 ///   timeout=X        socket read timeout per reply, seconds (default 600)
 void registerShardedStrategy(engine::StrategyRegistry& registry);

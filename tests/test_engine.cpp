@@ -507,6 +507,32 @@ TEST(OneExecutorPerRun, ResultsDoNotDependOnTheThreadCount) {
   }
 }
 
+TEST(OneExecutorPerRun, PeriodicRunsExactlyItsBudget) {
+  // On this scene the safety margin leaves no circle modifiable, so the
+  // local phases forfeit their iterations and the chain advances in global
+  // phases alone. The last of them must stop at the budget, with real
+  // threads and with virtual ones.
+  const img::Scene scene =
+      img::generateScene(img::cellScene(256, 256, 20, 10.0, 1));
+  Problem problem;
+  problem.filtered = &scene.image;
+  problem.prior.radiusMean = 10.0;
+  problem.prior.radiusStd = 10.0 / 8.0;
+  problem.prior.radiusMin = 5.0;
+  problem.prior.radiusMax = 18.0;
+  constexpr std::uint64_t kBudget = 20000;
+  const auto iterationsAt = [&](unsigned threads,
+                                const std::vector<std::string>& options) {
+    const Engine engine(ExecResources{.threads = threads, .seed = 1});
+    return engine.run("periodic", problem, RunBudget{kBudget, 0}, {}, options)
+        .iterations;
+  };
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    EXPECT_EQ(iterationsAt(threads, {}), kBudget) << "threads=" << threads;
+  }
+  EXPECT_EQ(iterationsAt(1, {"virtual-threads=4"}), kBudget);
+}
+
 TEST(RunHooks, ImmediateCancellationStillReturnsAReport) {
   const img::Scene scene = tinyScene(17);
   const Problem problem = tinyProblem(scene);

@@ -17,6 +17,23 @@
 namespace mcmcpar::img {
 namespace {
 
+/// A disc row run: row y, columns [x0, x1).
+struct Span {
+  int y;
+  int x0;
+  int x1;
+};
+
+/// The clipped disc's spans as forEachDiscSpan enumerates them.
+std::vector<Span> collectSpans(double cx, double cy, double r, int width,
+                               int height) {
+  std::vector<Span> spans;
+  forEachDiscSpan(cx, cy, r, width, height, [&spans](int y, int x0, int x1) {
+    spans.push_back(Span{y, x0, x1});
+  });
+  return spans;
+}
+
 TEST(Image, ConstructionAndAccess) {
   ImageF im(4, 3, 0.5f);
   EXPECT_EQ(im.width(), 4);
@@ -223,7 +240,7 @@ TEST(DiscRaster, SpansMatchForEach) {
     ++viaForEach;
   });
   std::size_t viaSpans = 0;
-  for (const Span& sp : discSpans(cx, cy, r, 32, 32)) {
+  for (const Span& sp : collectSpans(cx, cy, r, 32, 32)) {
     viaSpans += static_cast<std::size_t>(sp.x1 - sp.x0);
   }
   EXPECT_EQ(viaForEach, viaSpans);
@@ -256,18 +273,25 @@ TEST(DiscRaster, ClipsAtBorders) {
   // Roughly a quarter disc.
   EXPECT_GT(n, 10u);
   EXPECT_LT(n, 30u);
+  // A giant disc clips to one full-width span per raster row.
+  const std::vector<Span> spans = collectSpans(8.0, 8.0, 1e9, 16, 16);
+  EXPECT_EQ(spans.size(), 16u);
+  for (const Span& sp : spans) {
+    EXPECT_EQ(sp.x0, 0);
+    EXPECT_EQ(sp.x1, 16);
+  }
 }
 
 TEST(DiscRaster, ZeroRadiusIsEmpty) {
   EXPECT_EQ(discPixelCount(5, 5, 0.0, 10, 10), 0u);
-  EXPECT_TRUE(discSpans(5, 5, -1.0, 10, 10).empty());
+  EXPECT_TRUE(collectSpans(5, 5, -1.0, 10, 10).empty());
 }
 
 TEST(DiscRaster, SpanAndPixelEnumerationsAgreeExhaustively) {
   // Exhaustive sweep over interior, edge-clipped, fully-outside and
-  // giant-radius discs: forEachDiscSpan, forEachDiscPixel and discSpans must
-  // enumerate exactly the pixelInDisc set (proves the tightened floor-based
-  // row bound dropped no pixels).
+  // giant-radius discs: forEachDiscSpan, forEachDiscPixel and the collected
+  // span list must enumerate exactly the pixelInDisc set (proves the
+  // tightened floor-based row bound dropped no pixels).
   const int W = 24, H = 19;
   const double centres[] = {-6.0, -0.5, 0.0, 3.7, 11.25, 12.5, 18.9, 30.5};
   const double radii[] = {0.4, 1.0, 2.5, 3.75, 6.0, 9.5, 14.0, 500.0};
@@ -288,7 +312,7 @@ TEST(DiscRaster, SpanAndPixelEnumerationsAgreeExhaustively) {
         forEachDiscPixel(cx, cy, r, W, H, [&](int x, int y) {
           byPixel[static_cast<std::size_t>(y * W + x)] = 1;
         });
-        for (const Span& sp : discSpans(cx, cy, r, W, H)) {
+        for (const Span& sp : collectSpans(cx, cy, r, W, H)) {
           for (int x = sp.x0; x < sp.x1; ++x) {
             byList[static_cast<std::size_t>(sp.y * W + x)] = 1;
           }
@@ -356,19 +380,6 @@ TEST(DiscRaster, RowBoundsAreTight) {
     }
     EXPECT_EQ(firstRow, bruteFirst) << "cx=" << cx << " cy=" << cy << " r=" << r;
     EXPECT_EQ(lastRow, bruteLast) << "cx=" << cx << " cy=" << cy << " r=" << r;
-  }
-}
-
-TEST(DiscRaster, SpansReservationClampedForGiantRadii) {
-  // A giant disc on a small raster must not over-allocate: one span per
-  // clipped row is the exact bound (the old 2r+2 reserve requested ~2e9
-  // entries here).
-  const std::vector<Span> spans = discSpans(8.0, 8.0, 1e9, 16, 16);
-  EXPECT_EQ(spans.size(), 16u);
-  EXPECT_LE(spans.capacity(), 16u);
-  for (const Span& sp : spans) {
-    EXPECT_EQ(sp.x0, 0);
-    EXPECT_EQ(sp.x1, 16);
   }
 }
 

@@ -16,6 +16,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <variant>
 #include <vector>
 
@@ -748,6 +749,19 @@ TEST(HedgedShardedRun, BeatsAStragglerAndStaysBitIdentical) {
   // "Faster": an unhedged run could not finish before the straggler's
   // start delay elapsed; the hedged run must.
   EXPECT_LT(wallSeconds, kDelayMs / 1000.0);
+  // The losing primary was cancelled on the slow endpoint, not left to
+  // burn its budget there once the delay ran out.
+  const auto slowJobsSettled = std::chrono::steady_clock::now() +
+                               std::chrono::milliseconds(2 * kDelayMs);
+  while (slowServer.stats().jobs.cancelled + slowServer.stats().jobs.done ==
+             0 &&
+         std::chrono::steady_clock::now() < slowJobsSettled) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const serve::ServerStats slowStats = slowServer.stats();
+  EXPECT_EQ(slowStats.jobs.submitted, 1u);
+  EXPECT_EQ(slowStats.jobs.cancelled, 1u);
+  EXPECT_EQ(slowStats.jobs.done, 0u);
 
   // Bit-identity against the unhedged local backend.
   const engine::RunReport reference = engine.run(

@@ -21,6 +21,7 @@
 #include "engine/batch.hpp"
 #include "engine/registry.hpp"
 #include "img/synth.hpp"
+#include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
@@ -431,6 +432,22 @@ TEST(ShardedStrategy, RejectsBadOptionsAtCreation) {
                engine::EngineError);  // no recursive sharding
   EXPECT_THROW((void)registry.create("sharded", {}, {"bogus=1"}),
                engine::EngineError);
+  EXPECT_THROW((void)registry.create("sharded", {}, {"ping-timeout=1"}),
+               engine::EngineError);  // not an option
+  // Tile budgets become @iters directives: a value the job line rejects is
+  // rejected here, on either backend.
+  const std::string overMax = std::to_string(engine::kMaxJobIterations + 1);
+  EXPECT_THROW((void)registry.create("sharded", {}, {"min-tile-iters=0"}),
+               engine::EngineError);
+  EXPECT_THROW(
+      (void)registry.create("sharded", {}, {"min-tile-iters=" + overMax}),
+      engine::EngineError);
+  EXPECT_THROW((void)registry.create("sharded", {}, {"tile-iters=" + overMax}),
+               engine::EngineError);
+  EXPECT_NO_THROW((void)registry.create(
+      "sharded", {},
+      {"min-tile-iters=1",
+       "tile-iters=" + std::to_string(engine::kMaxJobIterations)}));
   // Inner options are validated against the inner strategy at creation.
   EXPECT_THROW((void)registry.create("sharded", {},
                                      {"strategy=serial", "inner.lanes=2"}),
@@ -674,6 +691,14 @@ TEST(ShardedStrategy, DeadEndpointMidRunRequeuesTilesOntoSurvivor) {
     killed = true;
   });
 
+  // The coordinator's counters move with its ShardReport.
+  const auto total = [](const char* name) {
+    return obs::Registry::global().counter(name, "").value();
+  };
+  const std::uint64_t requeuesBefore = total("mcmcpar_shard_requeues_total");
+  const std::uint64_t deadBefore =
+      total("mcmcpar_shard_endpoints_marked_dead_total");
+
   const engine::Engine engine(engine::ExecResources{2, false, 7});
   const engine::RunReport report = engine.run(
       "sharded", shardProblem(scene), engine::RunBudget{600000, 0}, {},
@@ -696,6 +721,10 @@ TEST(ShardedStrategy, DeadEndpointMidRunRequeuesTilesOntoSurvivor) {
   }
   EXPECT_GE(extras.requeues, 1u);
   EXPECT_EQ(extras.endpointsDead, 1u);
+  EXPECT_EQ(total("mcmcpar_shard_requeues_total") - requeuesBefore,
+            extras.requeues);
+  EXPECT_GE(total("mcmcpar_shard_endpoints_marked_dead_total") - deadBefore,
+            1u);
 
   socketA.stop();
   serverA.shutdown(5.0);

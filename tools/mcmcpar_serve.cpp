@@ -262,8 +262,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<shard::EndpointPool> pool;
   std::jthread health;
   if (!fleet.empty()) {
-    pool = std::make_unique<shard::EndpointPool>(fleet, /*pingTimeout=*/5.0,
-                                                 cli.pingInterval);
+    pool = std::make_unique<shard::EndpointPool>(fleet, cli.pingInterval);
     (void)pool->checkAll();
     std::printf("FLEET %s\n", shard::formatEndpointList(fleet).c_str());
     const auto printEndpoint = [&](std::size_t i) {
