@@ -207,42 +207,15 @@ class SpeculativeStrategy final : public StrategyBase {
                                        stream.derive(0x5BEC).bits(),
                                        threads.pool.get());
 
-    // The executor has no internal trace; run in trace-sized chunks and
-    // record the posterior between them.
-    const std::uint64_t every = traceEvery(budget);
     const par::WallTimer timer;
-    std::uint64_t done = 0;
-    bool cancelled = false;
-    // The executor reports progress relative to each run() call; remap it
-    // to the overall budget so RunProgress keeps its documented meaning.
-    RunHooks inner;
-    inner.cancelRequested = hooks.cancelRequested;
-    inner.onTrace = hooks.onTrace;
-    if (hooks.onProgress) {
-      inner.onProgress = [&](const RunProgress& p) {
-        hooks.progress(std::min(done + p.done, budget.iterations),
-                       budget.iterations, p.phase);
-      };
-    }
-    while (done < budget.iterations) {
-      const std::uint64_t chunk =
-          std::min(every, budget.iterations - done);
-      const std::uint64_t advanced =
-          executor.run(chunk, spec::MovePhase::Any, inner);
-      if (advanced == 0) {  // cancellation before the first round
-        cancelled = true;
-        break;
-      }
-      done += advanced;
-      executor.diagnostics().tracePoint(done, state.logPosterior(),
-                                        state.config().size());
-      hooks.trace(executor.diagnostics().trace().back());
-    }
+    const std::uint64_t done =
+        executor.run(budget.iterations, spec::MovePhase::Any,
+                     traceEvery(budget), hooks);
 
     RunReport report = baseReport();
     report.iterations = done;
     report.wallSeconds = timer.seconds();
-    report.cancelled = cancelled || done < budget.iterations;
+    report.cancelled = done < budget.iterations;
     report.circles = state.config().snapshot();
     report.logPosterior = state.logPosterior();
     report.diagnostics = executor.diagnostics();

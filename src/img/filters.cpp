@@ -1,6 +1,6 @@
 #include "img/filters.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 namespace mcmcpar::img {
 
@@ -42,58 +42,6 @@ ImageF stainEmphasis(const ImageRgb& image, const StainWeights& weights) {
     out.pixels()[i] = std::clamp(v, 0.0f, 1.0f);
   }
   return out;
-}
-
-ImageF boxBlur(const ImageF& image, int radius) {
-  if (radius <= 0 || image.empty()) return image;
-  const int w = image.width();
-  const int h = image.height();
-  const float inv = 1.0f / static_cast<float>(2 * radius + 1);
-
-  // Horizontal pass with a running sum; edges clamp to the border pixel.
-  ImageF tmp(w, h);
-  for (int y = 0; y < h; ++y) {
-    const float* src = image.row(y);
-    float* dst = tmp.row(y);
-    float acc = 0.0f;
-    for (int k = -radius; k <= radius; ++k) acc += src[std::clamp(k, 0, w - 1)];
-    for (int x = 0; x < w; ++x) {
-      dst[x] = acc * inv;
-      const int add = std::clamp(x + radius + 1, 0, w - 1);
-      const int sub = std::clamp(x - radius, 0, w - 1);
-      acc += src[add] - src[sub];
-    }
-  }
-
-  // Vertical pass.
-  ImageF out(w, h);
-  std::vector<float> acc(static_cast<std::size_t>(w), 0.0f);
-  for (int x = 0; x < w; ++x) {
-    float a = 0.0f;
-    for (int k = -radius; k <= radius; ++k) {
-      a += tmp(x, std::clamp(k, 0, h - 1));
-    }
-    acc[static_cast<std::size_t>(x)] = a;
-  }
-  for (int y = 0; y < h; ++y) {
-    float* dst = out.row(y);
-    const float* addRow = tmp.row(std::clamp(y + radius + 1, 0, h - 1));
-    const float* subRow = tmp.row(std::clamp(y - radius, 0, h - 1));
-    for (int x = 0; x < w; ++x) {
-      dst[x] = acc[static_cast<std::size_t>(x)] * inv;
-      acc[static_cast<std::size_t>(x)] += addRow[x] - subRow[x];
-    }
-  }
-  return out;
-}
-
-ImageF gaussianBlurApprox(const ImageF& image, float sigma) {
-  if (sigma <= 0.0f) return image;
-  // Three box passes whose combined variance matches sigma^2:
-  // box of half-width r has variance r(r+1)/3 per pass.
-  const int r = std::max(
-      1, static_cast<int>(std::lround(std::sqrt(sigma * sigma) * 0.88f)));
-  return boxBlur(boxBlur(boxBlur(image, r), r), r);
 }
 
 std::vector<bool> columnOccupancy(const ImageF& image, float theta) {

@@ -29,14 +29,6 @@ struct StainWeights {
 /// using a per-channel linear combination followed by clamping.
 [[nodiscard]] ImageF stainEmphasis(const ImageRgb& image, const StainWeights& weights = {});
 
-/// Separable box blur with half-width `radius` (window 2r+1), edge-clamped.
-/// Used by the synthetic generator to soften disc edges and by the
-/// intelligent partitioner's pre-processing.
-[[nodiscard]] ImageF boxBlur(const ImageF& image, int radius);
-
-/// 3-pass box blur approximating a Gaussian of the given sigma.
-[[nodiscard]] ImageF gaussianBlurApprox(const ImageF& image, float sigma);
-
 /// Per-column "any pixel above theta" occupancy (length = width).
 /// Used by the intelligent partitioner to find empty columns.
 [[nodiscard]] std::vector<bool> columnOccupancy(const ImageF& image, float theta);

@@ -30,7 +30,6 @@ class MoveRegistry {
 
   [[nodiscard]] std::size_t size() const noexcept { return moves_.size(); }
   [[nodiscard]] const Move& at(std::size_t i) const noexcept { return *moves_[i].move; }
-  [[nodiscard]] double weightOf(std::size_t i) const noexcept { return moves_[i].weight; }
 
   /// Probability that an arbitrary move is global (the paper's qg).
   [[nodiscard]] double qGlobal() const noexcept { return qGlobal_; }

@@ -50,8 +50,6 @@ class SpatialGrid {
   }
 
   [[nodiscard]] double cellSize() const noexcept { return cellSize_; }
-  [[nodiscard]] int cellsX() const noexcept { return cellsX_; }
-  [[nodiscard]] int cellsY() const noexcept { return cellsY_; }
 
   /// Total number of stored ids (O(cells); for tests).
   [[nodiscard]] std::size_t size() const noexcept;

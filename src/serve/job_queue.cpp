@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "engine/options.hpp"
-#include "stream/sequence.hpp"
 
 namespace mcmcpar::serve {
 
@@ -24,6 +23,26 @@ const char* toString(JobState state) noexcept {
   return "unknown";
 }
 
+const char* toString(JobEvent::Type type) noexcept {
+  switch (type) {
+    case JobEvent::Type::Admitted:
+      return "ADMITTED";
+    case JobEvent::Type::Started:
+      return "STARTED";
+    case JobEvent::Type::Progress:
+      return "PROGRESS";
+    case JobEvent::Type::Frame:
+      return "FRAME";
+    case JobEvent::Type::Done:
+      return "DONE";
+    case JobEvent::Type::Failed:
+      return "FAILED";
+    case JobEvent::Type::Cancelled:
+      return "CANCELLED";
+  }
+  return "UNKNOWN";
+}
+
 bool isTerminal(JobState state) noexcept {
   return state == JobState::Done || state == JobState::Failed ||
          state == JobState::Cancelled;
@@ -32,7 +51,8 @@ bool isTerminal(JobState state) noexcept {
 JobQueue::JobQueue(std::size_t retainLimit, std::size_t maxQueued)
     : retainLimit_(retainLimit), maxQueued_(maxQueued) {}
 
-std::uint64_t JobQueue::submit(JobSpec spec, double predictedCostSeconds) {
+std::uint64_t JobQueue::submit(JobSpec spec, AdmittedJob job,
+                              double predictedCostSeconds) {
   std::uint64_t id = 0;
   {
     const std::scoped_lock lock(mutex_);
@@ -61,6 +81,8 @@ std::uint64_t JobQueue::submit(JobSpec spec, double predictedCostSeconds) {
     ++stats.queued;
     stats.costQueued += record.predictedCostSeconds;
     record.spec = std::move(spec);
+    record.job = std::move(job);
+    (void)logLocked(record, JobEvent{JobEvent::Type::Admitted, id});
     records_.emplace(id, std::move(record));
     ++counts_.submitted;
     ++counts_.queued;
@@ -96,36 +118,44 @@ std::optional<std::uint64_t> JobQueue::waitNext(
   }
 }
 
-CancelOutcome JobQueue::cancel(std::uint64_t id) {
-  std::unique_lock lock(mutex_);
+std::optional<AdmittedJob> JobQueue::job(std::uint64_t id) const {
+  const std::scoped_lock lock(mutex_);
   const auto it = records_.find(id);
-  if (it == records_.end()) return CancelOutcome::Unknown;
-  Record& record = it->second;
-  record.cancelRequested = true;
-  if (isTerminal(record.state)) return CancelOutcome::AlreadyTerminal;
-  if (record.state == JobState::Running) return CancelOutcome::RunningFlagged;
-  // Queued: terminal right away, with an empty cancelled report. The job
-  // leaves its client's scheduler bucket so it can never dispatch.
-  (void)scheduler_.remove(record.client, id);
-  ClientStats& stats = clients_[record.client];
-  if (stats.queued > 0) --stats.queued;
-  stats.costQueued =
-      std::max(0.0, stats.costQueued - record.predictedCostSeconds);
-  record.state = JobState::Cancelled;
-  record.report.strategy = record.spec.strategy;
-  record.report.cancelled = true;
-  record.report.threadsUsed = 0;
-  record.latencySeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    record.admitted)
-          .count();
-  record.queueSeconds = record.latencySeconds;
-  --counts_.queued;
-  ++counts_.cancelled;
-  terminal_.push_back(id);
-  pruneLocked();
-  lock.unlock();
+  if (it == records_.end() || isTerminal(it->second.state)) {
+    return std::nullopt;
+  }
+  return it->second.job;
+}
+
+CancelOutcome JobQueue::cancel(std::uint64_t id, JobEvent* cancelled) {
+  {
+    const std::scoped_lock lock(mutex_);
+    const auto it = records_.find(id);
+    if (it == records_.end()) return CancelOutcome::Unknown;
+    Record& record = it->second;
+    record.cancelRequested = true;
+    if (isTerminal(record.state)) return CancelOutcome::AlreadyTerminal;
+    if (record.state == JobState::Running) {
+      return CancelOutcome::RunningFlagged;
+    }
+    // Queued: terminal right away, with an empty cancelled report. The job
+    // leaves its client's scheduler bucket so it can never dispatch.
+    (void)scheduler_.remove(record.client, id);
+    ClientStats& stats = clients_[record.client];
+    if (stats.queued > 0) --stats.queued;
+    stats.costQueued =
+        std::max(0.0, stats.costQueued - record.predictedCostSeconds);
+    record.report.strategy = record.spec.strategy;
+    record.report.cancelled = true;
+    record.report.threadsUsed = 0;
+    --counts_.queued;
+    const JobEvent event = endLocked(id, record, JobState::Cancelled);
+    record.queueSeconds = record.latencySeconds;
+    if (cancelled != nullptr) *cancelled = event;
+    pruneLocked();
+  }
   idle_.notify_all();
+  logged_.notify_all();
   return CancelOutcome::QueuedCancelled;
 }
 
@@ -144,58 +174,60 @@ void JobQueue::progress(std::uint64_t id, std::uint64_t done,
   it->second.progressTotal = total;
 }
 
-std::uint64_t JobQueue::nextEventSeq(std::uint64_t id) {
-  const std::scoped_lock lock(mutex_);
-  const auto it = records_.find(id);
-  if (it == records_.end()) return 0;
-  return ++it->second.eventSeq;
+std::optional<JobEvent> JobQueue::append(JobEvent event) {
+  std::optional<JobEvent> logged;
+  {
+    const std::scoped_lock lock(mutex_);
+    const auto it = records_.find(event.id);
+    if (it == records_.end() || isTerminal(it->second.state)) {
+      return std::nullopt;
+    }
+    logged = logLocked(it->second, event);
+  }
+  logged_.notify_all();
+  return logged;
 }
 
-void JobQueue::recordFrame(std::uint64_t id, FrameMark mark) {
-  const std::scoped_lock lock(mutex_);
-  const auto it = records_.find(id);
-  if (it == records_.end()) return;
-  // Admission already holds a sequence to stream::kMaxFrames frames.
-  std::vector<FrameMark>& marks = it->second.frameMarks;
-  if (marks.size() < stream::kMaxFrames) marks.push_back(mark);
-}
-
-std::vector<FrameMark> JobQueue::frameHistory(std::uint64_t id) const {
-  const std::scoped_lock lock(mutex_);
-  const auto it = records_.find(id);
-  if (it == records_.end()) return {};
-  return it->second.frameMarks;
-}
-
-void JobQueue::finish(std::uint64_t id, engine::RunReport report,
-                      std::string error) {
+std::optional<JobEvent> JobQueue::finish(std::uint64_t id,
+                                         engine::RunReport report,
+                                         std::string error) {
+  std::optional<JobEvent> ended;
   {
     const std::scoped_lock lock(mutex_);
     const auto it = records_.find(id);
-    if (it == records_.end()) return;
-    Record& record = it->second;
-    if (record.state != JobState::Running) return;
-    --counts_.running;
-    if (!error.empty()) {
-      record.state = JobState::Failed;
-      ++counts_.failed;
-    } else if (report.cancelled || record.cancelRequested) {
-      record.state = JobState::Cancelled;
-      ++counts_.cancelled;
-    } else {
-      record.state = JobState::Done;
-      ++counts_.done;
+    if (it == records_.end() || it->second.state != JobState::Running) {
+      return std::nullopt;
     }
+    Record& record = it->second;
+    --counts_.running;
+    const JobState state =
+        !error.empty() ? JobState::Failed
+        : report.cancelled || record.cancelRequested ? JobState::Cancelled
+                                                     : JobState::Done;
     record.report = std::move(report);
     record.error = std::move(error);
-    record.latencySeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      record.admitted)
-            .count();
-    terminal_.push_back(id);
+    ended = endLocked(id, record, state);
     pruneLocked();
   }
   idle_.notify_all();
+  logged_.notify_all();
+  return ended;
+}
+
+std::optional<std::vector<JobEvent>> JobQueue::events(
+    std::uint64_t id, std::size_t from,
+    std::chrono::milliseconds timeout) const {
+  std::unique_lock lock(mutex_);
+  (void)logged_.wait_for(lock, timeout, [&] {
+    const auto it = records_.find(id);
+    return it == records_.end() || it->second.events.size() > from;
+  });
+  const auto it = records_.find(id);
+  if (it == records_.end()) return std::nullopt;
+  const std::vector<JobEvent>& log = it->second.events;
+  return std::vector<JobEvent>(
+      log.begin() + static_cast<std::ptrdiff_t>(std::min(from, log.size())),
+      log.end());
 }
 
 std::optional<JobStatus> JobQueue::status(std::uint64_t id) const {
@@ -223,13 +255,6 @@ std::optional<JobStatus> JobQueue::status(std::uint64_t id) const {
                 .count()
           : record.queueSeconds;
   return status;
-}
-
-std::optional<JobSpec> JobQueue::spec(std::uint64_t id) const {
-  const std::scoped_lock lock(mutex_);
-  const auto it = records_.find(id);
-  if (it == records_.end()) return std::nullopt;
-  return it->second.spec;
 }
 
 std::vector<std::uint64_t> JobQueue::activeIds() const {
@@ -284,17 +309,6 @@ bool JobQueue::closed() const {
   return closed_;
 }
 
-void JobQueue::cancelAll() {
-  std::vector<std::uint64_t> active;
-  {
-    const std::scoped_lock lock(mutex_);
-    for (const auto& [id, record] : records_) {
-      if (!isTerminal(record.state)) active.push_back(id);
-    }
-  }
-  for (const std::uint64_t id : active) (void)cancel(id);
-}
-
 bool JobQueue::waitIdle(double timeoutSeconds) {
   std::unique_lock lock(mutex_);
   const auto deadline =
@@ -304,6 +318,34 @@ bool JobQueue::waitIdle(double timeoutSeconds) {
   return idle_.wait_until(lock, deadline, [this] {
     return counts_.queued == 0 && counts_.running == 0;
   });
+}
+
+JobEvent JobQueue::logLocked(Record& record, JobEvent event) {
+  event.seq = record.events.size() + 1;
+  record.events.push_back(event);
+  return event;
+}
+
+JobEvent JobQueue::endLocked(std::uint64_t id, Record& record,
+                             JobState state) {
+  record.state = state;
+  record.job = {};  // release the frames it pinned
+  record.latencySeconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    record.admitted)
+          .count();
+  terminal_.push_back(id);
+  JobEvent::Type type = JobEvent::Type::Done;
+  if (state == JobState::Done) {
+    ++counts_.done;
+  } else if (state == JobState::Failed) {
+    ++counts_.failed;
+    type = JobEvent::Type::Failed;
+  } else {
+    ++counts_.cancelled;
+    type = JobEvent::Type::Cancelled;
+  }
+  return logLocked(record, JobEvent{type, id});
 }
 
 void JobQueue::pruneLocked() {

@@ -13,6 +13,7 @@
 #include "engine/batch.hpp"
 #include "engine/options.hpp"
 #include "serve/fair_queue.hpp"
+#include "stream/sequence.hpp"
 
 namespace mcmcpar::serve {
 
@@ -79,14 +80,31 @@ struct ClientStats {
   double costServed = 0.0;         ///< predicted seconds dispatched
 };
 
-/// One retained FRAME event of a streaming job: enough to replay the
-/// `EVENT <id> FRAME frame=<k>/<n> seq=<s>` line to a subscriber that
-/// attached after the frame finished (a fast first frame can complete
-/// before the submitting client's WAIT reaches the server).
-struct FrameMark {
-  std::uint64_t frame = 0;  ///< 0-based index of the finished frame
-  std::uint64_t total = 0;  ///< frames in the sequence
-  std::uint64_t seq = 0;    ///< the event's per-job sequence number
+/// One progress/lifecycle event of a job. Every event a job emits is
+/// appended to its record's log (JobQueue), stamped there, and handed to the
+/// server's listeners.
+struct JobEvent {
+  enum class Type { Admitted, Started, Progress, Frame, Done, Failed,
+                    Cancelled };
+  Type type = Type::Admitted;
+  std::uint64_t id = 0;
+  std::uint64_t done = 0;   ///< Progress: iterations done.
+                            ///< Frame: 0-based index of the finished frame.
+  std::uint64_t total = 0;  ///< Progress: iteration budget.
+                            ///< Frame: frames in the sequence.
+  /// The event's place in its job's log: ADMITTED is 1, and every later
+  /// event takes the next number, so a job's stream has no gaps. A
+  /// non-increasing seq means the transport dropped or reordered events.
+  std::uint64_t seq = 0;
+};
+
+[[nodiscard]] const char* toString(JobEvent::Type type) noexcept;
+
+/// An admitted job's run: the job built at admission (engine::buildJob)
+/// and the frames it pins while it is alive.
+struct AdmittedJob {
+  std::vector<stream::FrameImage> frames;
+  engine::BatchJob job;  ///< borrows `frames`' images
 };
 
 /// What JobQueue::cancel found, so the caller can emit the right event.
@@ -103,6 +121,11 @@ enum class CancelOutcome {
 /// FIFO), observers read status snapshots by id. All methods are
 /// thread-safe.
 ///
+/// Each job has one record. It holds the job's run until the job ends, and
+/// the job's event log for as long as the record is retained: every state
+/// change that emits an event appends it under the same lock, so the log
+/// and the state never disagree.
+///
 /// Terminal records are retained for RESULT queries, capped at
 /// `retainLimit` (oldest forgotten first) so a long-running server does not
 /// grow without bound.
@@ -117,14 +140,16 @@ class JobQueue {
   JobQueue(const JobQueue&) = delete;
   JobQueue& operator=(const JobQueue&) = delete;
 
-  /// Admit a job; returns its id (ids start at 1 and never repeat).
+  /// Admit a job and log its ADMITTED event (always seq 1); returns its id
+  /// (ids start at 1 and never repeat). `job` is the run a worker executes
+  /// (job()); the record holds it until the job ends.
   /// `predictedCostSeconds` is the job's fairness currency — the §IX
   /// runtime prediction charged against its client's deficit at dispatch
   /// (0 still charges a minimal amount). The client comes from the spec's
   /// @client directive ("default" when absent). Throws engine::EngineError
   /// once close() has been called, and QueueFullError when the queued
   /// backlog is at `maxQueued`.
-  [[nodiscard]] std::uint64_t submit(JobSpec spec,
+  [[nodiscard]] std::uint64_t submit(JobSpec spec, AdmittedJob job,
                                      double predictedCostSeconds = 0.0);
 
   /// Block until a queued job is available (marking it Running and
@@ -134,38 +159,40 @@ class JobQueue {
   [[nodiscard]] std::optional<std::uint64_t> waitNext(
       std::chrono::milliseconds timeout);
 
-  /// Request cancellation. Queued jobs become Cancelled immediately;
-  /// running jobs get a sticky flag their RunHooks polls.
-  CancelOutcome cancel(std::uint64_t id);
+  /// The run of a job that has not ended (a copy: its frames keep the
+  /// images alive for as long as the caller holds it); nullopt otherwise.
+  [[nodiscard]] std::optional<AdmittedJob> job(std::uint64_t id) const;
 
-  /// The sticky per-job cancel flag (true also once the queue is draining
-  /// hard via cancelAll).
+  /// Request cancellation. Queued jobs become Cancelled immediately, drop
+  /// their run and log CANCELLED, which is copied to `*cancelled` when
+  /// given; running jobs get a sticky flag their RunHooks polls.
+  CancelOutcome cancel(std::uint64_t id, JobEvent* cancelled = nullptr);
+
+  /// The sticky per-job cancel flag.
   [[nodiscard]] bool cancelRequested(std::uint64_t id) const;
 
   /// Record a progress beat of a running job.
   void progress(std::uint64_t id, std::uint64_t done, std::uint64_t total);
 
-  /// Next per-job event sequence number, monotonic from 1 (0 for unknown or
-  /// already-forgotten ids). Every EVENT line a job emits is stamped
-  /// through this so streaming clients can detect drops and reorders.
-  [[nodiscard]] std::uint64_t nextEventSeq(std::uint64_t id);
+  /// Log a STARTED, PROGRESS or FRAME event of a job that has not ended;
+  /// returns it stamped with its seq (nullopt for unknown or ended jobs).
+  std::optional<JobEvent> append(JobEvent event);
 
-  /// Retain one emitted FRAME event so late subscribers can replay it.
-  /// At most stream::kMaxFrames per job; no-op for unknown ids.
-  void recordFrame(std::uint64_t id, FrameMark mark);
+  /// Move a Running job to its terminal state — Failed when `error` is
+  /// non-empty, Cancelled when the report says so, Done otherwise — drop
+  /// its run, and log the matching terminal event, which is returned
+  /// (nullopt when the job was not running).
+  std::optional<JobEvent> finish(std::uint64_t id, engine::RunReport report,
+                                 std::string error);
 
-  /// The retained FRAME events of a job, in emission (seq) order. Empty
-  /// for unknown ids and non-sequence jobs.
-  [[nodiscard]] std::vector<FrameMark> frameHistory(std::uint64_t id) const;
-
-  /// Move a Running job to its terminal state: Failed when `error` is
-  /// non-empty, Cancelled when the report says so, Done otherwise.
-  void finish(std::uint64_t id, engine::RunReport report, std::string error);
+  /// A job's logged events from index `from` (seq `from + 1`) on. When
+  /// there are none yet, waits up to `timeout` for one. Nullopt for
+  /// unknown or forgotten ids.
+  [[nodiscard]] std::optional<std::vector<JobEvent>> events(
+      std::uint64_t id, std::size_t from,
+      std::chrono::milliseconds timeout) const;
 
   [[nodiscard]] std::optional<JobStatus> status(std::uint64_t id) const;
-
-  /// The submitted spec of a known job (workers read it to build the run).
-  [[nodiscard]] std::optional<JobSpec> spec(std::uint64_t id) const;
 
   /// Ids not yet terminal, in admission order (shutdown cancels these).
   [[nodiscard]] std::vector<std::uint64_t> activeIds() const;
@@ -189,10 +216,6 @@ class JobQueue {
   void close();
   [[nodiscard]] bool closed() const;
 
-  /// Cancel everything still queued and flag everything running — the
-  /// drain-timeout escalation path of shutdown.
-  void cancelAll();
-
   /// Block until nothing is queued or running, or `timeoutSeconds` elapses;
   /// true when drained.
   [[nodiscard]] bool waitIdle(double timeoutSeconds);
@@ -200,6 +223,7 @@ class JobQueue {
  private:
   struct Record {
     JobSpec spec;
+    AdmittedJob job;  ///< the run; emptied when the job ends
     JobState state = JobState::Queued;
     bool cancelRequested = false;
     std::uint64_t progressDone = 0;
@@ -208,18 +232,25 @@ class JobQueue {
     double latencySeconds = 0.0;
     std::string error;
     engine::RunReport report;
-    std::uint64_t eventSeq = 0;  ///< last event sequence number handed out
-    std::vector<FrameMark> frameMarks;  ///< retained FRAME events (capped)
+    std::vector<JobEvent> events;       ///< the event log; seq = index + 1
     std::string client;                 ///< fairness bucket
     double queueSeconds = 0.0;          ///< admission -> dispatch
     double predictedCostSeconds = 0.0;  ///< DRR charge at admission
   };
 
+  /// Stamp an event with the next seq of a record's log and append it. The
+  /// caller holds mutex_ and notifies logged_ once it has released it.
+  static JobEvent logLocked(Record& record, JobEvent event);
+  /// Move a record to a terminal state: drop its run, stamp its latency,
+  /// count it, mark it for retention and log the terminal event. The
+  /// caller prunes afterwards.
+  JobEvent endLocked(std::uint64_t id, Record& record, JobState state);
   void pruneLocked();
 
   mutable std::mutex mutex_;
   std::condition_variable jobReady_;  ///< submit -> waitNext
   std::condition_variable idle_;      ///< finish -> waitIdle
+  mutable std::condition_variable logged_;  ///< event logged -> events()
   std::map<std::uint64_t, Record> records_;
   DeficitScheduler scheduler_;          ///< Queued ids, weighted-fair order
   std::map<std::string, ClientStats> clients_;  ///< persists across idling

@@ -60,8 +60,9 @@ using obs::jsonEscape;
 ///   `EVENT <id> PROGRESS <done> <total> seq=<n>`    decile progress
 ///   `EVENT <id> FRAME frame=<k>/<count> seq=<n>`    one finished sequence
 ///                                                   frame (k is 0-based)
-/// `seq` is per-job monotonic from 1; gaps are normal (throttling), a
-/// non-increasing value means the transport dropped or reordered events.
+/// `seq` is the event's place in its job's log: 1 for ADMITTED, then
+/// gapless; a gap or a non-increasing value means the transport dropped or
+/// reordered events.
 [[nodiscard]] std::string eventLine(const JobEvent& event);
 
 }  // namespace mcmcpar::serve::protocol

@@ -11,30 +11,11 @@
 #include "engine/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "stream/sequence.hpp"
 
 namespace mcmcpar::serve {
 
 using namespace std::chrono_literals;
-
-const char* toString(JobEvent::Type type) noexcept {
-  switch (type) {
-    case JobEvent::Type::Admitted:
-      return "ADMITTED";
-    case JobEvent::Type::Started:
-      return "STARTED";
-    case JobEvent::Type::Progress:
-      return "PROGRESS";
-    case JobEvent::Type::Frame:
-      return "FRAME";
-    case JobEvent::Type::Done:
-      return "DONE";
-    case JobEvent::Type::Failed:
-      return "FAILED";
-    case JobEvent::Type::Cancelled:
-      return "CANCELLED";
-  }
-  return "UNKNOWN";
-}
 
 Server::Server(ServerOptions options)
     : options_(options),
@@ -129,8 +110,8 @@ std::uint64_t Server::submit(
   // Resolve the image(s) and validate strategy + options at admission, so
   // a bad request fails the submitter with a descriptive error instead of
   // failing later on a worker thread.
-  AdmittedJob pinned;
-  std::vector<stream::FrameImage>& frames = pinned.frames;
+  AdmittedJob run;
+  std::vector<stream::FrameImage>& frames = run.frames;
   if (admitted.inlineImage && !admitted.sequence.empty()) {
     // The front-end gathered uploads `<image>.0` .. `<image>.N-1`.
     stream::requireFrameLimit(inlineFrames.size(), admitted.sequence);
@@ -163,10 +144,10 @@ std::uint64_t Server::submit(
           return resolveImage(path, oneshot);
         });
   }
-  pinned.job = engine::buildJob(admitted, options_.defaultBudget,
-                                options_.radius, frames);
+  run.job = engine::buildJob(admitted, options_.defaultBudget,
+                             options_.radius, frames);
   (void)engine::StrategyRegistry::builtin().create(
-      pinned.job.strategy, engine::ExecResources{}, pinned.job.options);
+      run.job.strategy, engine::ExecResources{}, run.job.options);
 
   // Predicted cost at admission: the §IX runtime model over the job's
   // iteration budget (times its frame count for sequences) is the currency
@@ -174,18 +155,12 @@ std::uint64_t Server::submit(
   // Activity is unknown this side of the density scan, so 0 — fairness
   // only needs costs comparable across jobs, not absolutely accurate.
   const double predictedCost =
-      core::predictCostSeconds(pinned.job.budget.iterations, 0.0) *
+      core::predictCostSeconds(run.job.budget.iterations, 0.0) *
       static_cast<double>(frames.size());
 
-  std::uint64_t id = 0;
-  {
-    // Hold jobsMutex_ across admission so a worker that dequeues the job
-    // immediately blocks here until its frames are pinned.
-    const std::scoped_lock lock(jobsMutex_);
-    id = queue_.submit(admitted, predictedCost);
-    jobs_.emplace(id, std::move(pinned));
-  }
-  emit(JobEvent{JobEvent::Type::Admitted, id, 0, 0});
+  const std::uint64_t id =
+      queue_.submit(std::move(admitted), std::move(run), predictedCost);
+  publish(JobEvent{JobEvent::Type::Admitted, id, 0, 0, 1});  // logged as seq 1
   return id;
 }
 
@@ -194,14 +169,9 @@ std::uint64_t Server::submitLine(const std::string& line) {
 }
 
 CancelOutcome Server::cancel(std::uint64_t id) {
-  const CancelOutcome outcome = queue_.cancel(id);
-  if (outcome == CancelOutcome::QueuedCancelled) {
-    {
-      const std::scoped_lock lock(jobsMutex_);
-      jobs_.erase(id);
-    }
-    emit(JobEvent{JobEvent::Type::Cancelled, id, 0, 0});
-  }
+  JobEvent cancelled;
+  const CancelOutcome outcome = queue_.cancel(id, &cancelled);
+  if (outcome == CancelOutcome::QueuedCancelled) publish(cancelled);
   return outcome;
 }
 
@@ -321,14 +291,12 @@ void Server::unsubscribe(std::uint64_t token) {
 }
 
 void Server::emit(JobEvent event) {
-  // Stamp the per-job sequence number at emission, under the queue's lock,
-  // so concurrent emitters (worker + canceller) never hand out duplicates.
-  event.seq = queue_.nextEventSeq(event.id);
-  if (event.type == JobEvent::Type::Frame) {
-    // Retain FRAME events so a WAIT that attaches after a fast early frame
-    // can still replay the full per-frame stream (see socket.cpp).
-    queue_.recordFrame(event.id, {event.done, event.total, event.seq});
+  if (const std::optional<JobEvent> logged = queue_.append(event)) {
+    publish(*logged);
   }
+}
+
+void Server::publish(const JobEvent& event) {
   const std::shared_lock lock(listenerMutex_);
   for (const auto& [token, fn] : listeners_) fn(event);
 }
@@ -341,7 +309,8 @@ void Server::workerLoop(const std::stop_token& stop) {
       continue;
     }
     const std::uint64_t id = *next;
-    const std::optional<JobSpec> spec = queue_.spec(id);
+    // A copy: its frames keep the job's images alive for the whole run.
+    std::optional<AdmittedJob> admitted = queue_.job(id);
     // The dispatch snapshot carries the fairness bucket and the
     // admission-to-dispatch wait stamped by waitNext.
     const std::optional<JobStatus> dispatched = queue_.status(id);
@@ -358,19 +327,12 @@ void Server::workerLoop(const std::stop_token& stop) {
                      obs::latencyBuckets(), {{"client", dispatched->client}})
           .observe(dispatched->queueSeconds);
     }
-    // A copy: its frames keep the job's images alive for the whole run.
-    std::optional<AdmittedJob> admitted;
-    {
-      const std::scoped_lock lock(jobsMutex_);
-      const auto it = jobs_.find(id);
-      if (it != jobs_.end()) admitted = it->second;
-    }
 
     // Reacquire this worker's thread from the long-lived budget (released
     // below when the job ends, so idle workers leave their thread leasable
     // by running strategies). A cancel while waiting aborts the wait.
     bool charged = false;
-    if (spec && admitted) {
+    if (admitted) {
       while (!queue_.cancelRequested(id)) {
         if (budget_.tryAcquireFor(1, 100ms) == 1) {
           charged = true;
@@ -381,8 +343,8 @@ void Server::workerLoop(const std::stop_token& stop) {
 
     engine::RunReport report;
     std::string error;
-    if (charged && spec && admitted) {
-      obs::Span jobSpan("serve", "job:" + spec->strategy);
+    if (charged) {
+      obs::Span jobSpan("serve", "job:" + admitted->job.strategy);
       jobSpan.arg("id", std::to_string(id));
       if (dispatched) jobSpan.arg("client", dispatched->client);
       emit(JobEvent{JobEvent::Type::Started, id, 0, 0});
@@ -407,9 +369,9 @@ void Server::workerLoop(const std::stop_token& stop) {
       };
       // Record every beat (STATUS stays fine-grained). A sequence's
       // "frame" beat becomes one FRAME event, never throttled — the
-      // per-frame stream IS the product of a sequence job. Other beats fan
-      // out only on decile changes, so hot strategies don't hammer
-      // listeners.
+      // per-frame stream IS the product of a sequence job. Other beats
+      // become a PROGRESS event only when their decile rises, so a job
+      // logs at most 11 of them however its phases interleave their beats.
       hooks.onProgress = [this, id,
                           lastDecile = -1](const engine::RunProgress& p)
           mutable {
@@ -419,8 +381,11 @@ void Server::workerLoop(const std::stop_token& stop) {
           return;
         }
         const int decile =
-            p.total == 0 ? -1 : static_cast<int>(10 * p.done / p.total);
-        if (decile == lastDecile) return;
+            p.total == 0
+                ? -1
+                : static_cast<int>(std::min<std::uint64_t>(
+                      10, 10 * p.done / p.total));
+        if (decile <= lastDecile) return;
         lastDecile = decile;
         emit(JobEvent{JobEvent::Type::Progress, id, p.done, p.total});
       };
@@ -432,7 +397,7 @@ void Server::workerLoop(const std::stop_token& stop) {
       }
     } else {
       // Cancelled before it could start (or admission raced shutdown).
-      report.strategy = spec ? spec->strategy : "";
+      report.strategy = dispatched ? dispatched->strategy : "";
       report.cancelled = true;
       report.threadsUsed = 0;
     }
@@ -445,19 +410,11 @@ void Server::workerLoop(const std::stop_token& stop) {
                      obs::latencyBuckets(), {{"client", dispatched->client}})
           .observe(report.wallSeconds);
     }
-    queue_.finish(id, std::move(report), std::move(error));
-    {
-      const std::scoped_lock lock(jobsMutex_);
-      jobs_.erase(id);
+    admitted.reset();  // unpinned before finish() drops the record's copy
+    if (const std::optional<JobEvent> ended =
+            queue_.finish(id, std::move(report), std::move(error))) {
+      publish(*ended);
     }
-    const std::optional<JobStatus> finished = queue_.status(id);
-    JobEvent::Type type = JobEvent::Type::Done;
-    if (finished && finished->state == JobState::Failed) {
-      type = JobEvent::Type::Failed;
-    } else if (finished && finished->state == JobState::Cancelled) {
-      type = JobEvent::Type::Cancelled;
-    }
-    emit(JobEvent{type, id, 0, 0});
   }
 }
 

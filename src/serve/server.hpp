@@ -1,10 +1,12 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -15,7 +17,6 @@
 #include "par/concurrency.hpp"
 #include "serve/image_cache.hpp"
 #include "serve/job_queue.hpp"
-#include "stream/sequence.hpp"
 
 namespace mcmcpar::obs {
 class Collection;
@@ -75,24 +76,6 @@ struct ServerOptions {
   unsigned startDelayMs = 0;
 };
 
-/// One progress/lifecycle event of a job, streamed to subscribers.
-struct JobEvent {
-  enum class Type { Admitted, Started, Progress, Frame, Done, Failed,
-                    Cancelled };
-  Type type = Type::Admitted;
-  std::uint64_t id = 0;
-  std::uint64_t done = 0;   ///< Progress: iterations done.
-                            ///< Frame: 0-based index of the finished frame.
-  std::uint64_t total = 0;  ///< Progress: iteration budget.
-                            ///< Frame: frames in the sequence.
-  /// Per-job monotonic sequence number, assigned from 1 when the event is
-  /// emitted. Gaps are normal (Progress events are decile-throttled); a
-  /// non-increasing seq means the transport dropped or reordered events.
-  std::uint64_t seq = 0;
-};
-
-[[nodiscard]] const char* toString(JobEvent::Type type) noexcept;
-
 /// A consistent point-in-time summary for STATS and shutdown logs.
 struct ServerStats {
   JobCounts jobs;
@@ -112,8 +95,9 @@ struct ServerStats {
 /// construction entirely.
 ///
 /// Front-ends (socket, watch directory) translate their wire format into
-/// submit()/cancel()/status()/result() calls and observe per-job progress
-/// through subscribe(). The server itself speaks no protocol.
+/// submit()/cancel()/status()/result() calls and read a job's events from
+/// its log (events()); in-process observers may also subscribe(). The
+/// server itself speaks no protocol.
 class Server {
  public:
   explicit Server(ServerOptions options = {});
@@ -158,27 +142,24 @@ class Server {
       std::uint64_t id) const;
   [[nodiscard]] ServerStats stats() const;
 
-  /// Register an event listener. Callbacks run on worker and submitter
-  /// threads, possibly concurrently with themselves; they must be fast,
-  /// thread-safe, and must not call subscribe/unsubscribe from within the
-  /// callback. Returns a token for unsubscribe(), which acts as a barrier:
-  /// once it returns, the callback is not running and never will again.
+  /// Register an event listener: it is handed every event after the queue
+  /// logged it. Callbacks run on worker and submitter threads, possibly
+  /// concurrently with themselves (so two events of one job may arrive out
+  /// of seq order); they must be fast, thread-safe, and must not call
+  /// subscribe/unsubscribe from within the callback. Returns a token for
+  /// unsubscribe(), which acts as a barrier: once it returns, the callback
+  /// is not running and never will again.
   [[nodiscard]] std::uint64_t subscribe(std::function<void(const JobEvent&)>);
   void unsubscribe(std::uint64_t token);
 
-  /// Next event sequence number for a job (monotonic from 1). Events
-  /// emitted through the server are stamped automatically; the socket
-  /// front-end uses this for the synthetic terminal event a late WAIT
-  /// fabricates, so that event too continues the job's sequence.
-  [[nodiscard]] std::uint64_t nextEventSeq(std::uint64_t id) {
-    return queue_.nextEventSeq(id);
-  }
-
-  /// FRAME events a sequence job already emitted, in seq order. A WAIT
-  /// that subscribes after a fast early frame replays these first so the
-  /// client still sees one event per frame.
-  [[nodiscard]] std::vector<FrameMark> frameHistory(std::uint64_t id) const {
-    return queue_.frameHistory(id);
+  /// A job's event log from index `from` on, waiting up to `timeout` when
+  /// nothing new is logged yet (JobQueue::events). Every event the job
+  /// emitted is there, from ADMITTED (seq 1) on, so a WAIT that arrives
+  /// late still streams the whole lifecycle.
+  [[nodiscard]] std::optional<std::vector<JobEvent>> events(
+      std::uint64_t id, std::size_t from,
+      std::chrono::milliseconds timeout) const {
+    return queue_.events(id, from, timeout);
   }
 
   /// Graceful shutdown: stop admitting, wait up to `drainTimeoutSeconds`
@@ -194,7 +175,10 @@ class Server {
 
  private:
   void workerLoop(const std::stop_token& stop);
+  /// Log a non-terminal event of a job and publish it.
   void emit(JobEvent event);
+  /// Hand a logged event to every listener.
+  void publish(const JobEvent& event);
   /// Scrape-time collector registered with obs::Registry::global(): renders
   /// stats() (queue counts, cache, budget, per-client fairness, deficits)
   /// so METRICS, STATS and the shutdown summary share one source of truth.
@@ -211,16 +195,7 @@ class Server {
   std::shared_ptr<const img::ImageF> synthImage_;
   std::chrono::steady_clock::time_point started_;
 
-  /// An admitted job, built at admission (engine::buildJob) over the frames
-  /// it pins while it is alive.
-  struct AdmittedJob {
-    std::vector<stream::FrameImage> frames;
-    engine::BatchJob job;  ///< borrows `frames`' images
-  };
-  std::mutex jobsMutex_;  ///< guards jobs_
-  std::map<std::uint64_t, AdmittedJob> jobs_;
-
-  // Emits take the lock shared (concurrent, non-blocking between workers);
+  // Publishes take the lock shared (concurrent, non-blocking between workers);
   // subscribe/unsubscribe take it unique, making unsubscribe a barrier.
   std::shared_mutex listenerMutex_;
   std::map<std::uint64_t, std::function<void(const JobEvent&)>> listeners_;

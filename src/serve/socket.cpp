@@ -10,10 +10,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <iterator>
 #include <sstream>
 
@@ -135,6 +133,20 @@ class GaugeScope {
  private:
   obs::Gauge& gauge_;
 };
+
+/// The final state a terminal event announces; null for other events.
+const char* terminalState(JobEvent::Type type) {
+  switch (type) {
+    case JobEvent::Type::Done:
+      return "done";
+    case JobEvent::Type::Failed:
+      return "failed";
+    case JobEvent::Type::Cancelled:
+      return "cancelled";
+    default:
+      return nullptr;
+  }
+}
 
 /// Parse a strict decimal job id; false on anything else.
 bool parseId(const std::string& text, std::uint64_t& id) {
@@ -516,119 +528,28 @@ std::string SocketFrontend::dispatch(const std::string& line, int fd,
                                "no such job " + idText);
     }
 
-    // WAIT: subscribe, stream events for this id until a terminal one.
-    // Only this connection thread writes to the socket; the listener just
-    // enqueues, so event ordering is preserved and writes never interleave.
-    std::mutex eventMutex;
-    std::condition_variable eventReady;
-    std::deque<JobEvent> events;
-    const std::uint64_t token =
-        server_.subscribe([&, id](const JobEvent& event) {
-          if (event.id != id) return;
-          {
-            const std::scoped_lock lock(eventMutex);
-            events.push_back(event);
-          }
-          eventReady.notify_one();
-        });
-
-    // Replay FRAME events emitted before the subscription took effect — a
-    // fast first frame can finish before the client's WAIT arrives, and a
-    // WAIT on an already-finished sequence job should still stream one
-    // event per frame. Merge by seq with anything the listener queued in
-    // the meantime; equal seqs are the same event delivered both ways.
-    {
-      const std::vector<FrameMark> history = server_.frameHistory(id);
-      if (!history.empty()) {
-        std::deque<JobEvent> merged;
-        for (const FrameMark& mark : history) {
-          JobEvent event;
-          event.type = JobEvent::Type::Frame;
-          event.id = id;
-          event.done = mark.frame;
-          event.total = mark.total;
-          event.seq = mark.seq;
-          merged.push_back(event);
-        }
-        const std::scoped_lock lock(eventMutex);
-        for (const JobEvent& live : events) {
-          const auto pos = std::lower_bound(
-              merged.begin(), merged.end(), live.seq,
-              [](const JobEvent& e, std::uint64_t seq) { return e.seq < seq; });
-          if (pos != merged.end() && pos->seq == live.seq) continue;
-          merged.insert(pos, live);
-        }
-        events = std::move(merged);
+    // WAIT: replay the job's event log from seq 1, then follow it until the
+    // terminal event is sent.
+    std::size_t sent = 0;
+    while (!stopping_.load()) {
+      const std::optional<std::vector<JobEvent>> events = server_.events(
+          id, sent, std::chrono::milliseconds(kPollMillis));
+      if (!events) {
+        return protocol::errLine(protocol::kErrUnknownJob,
+                                 "job " + idText + " no longer retained");
       }
-    }
-
-    std::string finalState;
-    bool vanished = false;  // pruned from retention while we waited
-    // The job may already be terminal (subscribe raced the finish): emit
-    // the synthetic terminal event from its recorded state.
-    int lastDecile = -1;
-    while (finalState.empty() && !stopping_.load()) {
-      const std::optional<JobStatus> now = server_.status(id);
-      if (!now) {
-        vanished = true;
-        break;
-      }
-      if (isTerminal(now->state)) {
-        std::unique_lock lock(eventMutex);
-        if (events.empty()) {
-          JobEvent event;
-          event.id = id;
-          event.type = now->state == JobState::Done ? JobEvent::Type::Done
-                       : now->state == JobState::Failed
-                           ? JobEvent::Type::Failed
-                           : JobEvent::Type::Cancelled;
-          // Continue the job's event numbering so even the synthetic
-          // terminal line keeps the stream monotonic for this client.
-          event.seq = server_.nextEventSeq(id);
-          events.push_back(event);
-        }
-      }
-      std::unique_lock lock(eventMutex);
-      eventReady.wait_for(lock, std::chrono::milliseconds(kPollMillis),
-                          [&] { return !events.empty(); });
-      while (!events.empty()) {
-        const JobEvent event = events.front();
-        events.pop_front();
-        if (event.type == JobEvent::Type::Progress) {
-          // Throttle the stream to decile changes; strategies may beat far
-          // more often than a client wants to read.
-          const int decile =
-              event.total == 0
-                  ? -1
-                  : static_cast<int>(10 * event.done / event.total);
-          if (decile == lastDecile) continue;
-          lastDecile = decile;
-        }
-        lock.unlock();
-        const bool ok = sendLine(fd, protocol::eventLine(event));
-        lock.lock();
-        if (!ok) {
+      for (const JobEvent& event : *events) {
+        if (!sendLine(fd, protocol::eventLine(event))) {
           keepOpen = false;
-          break;
+          return "";
         }
-        if (event.type == JobEvent::Type::Done ||
-            event.type == JobEvent::Type::Failed ||
-            event.type == JobEvent::Type::Cancelled) {
-          finalState = event.type == JobEvent::Type::Done     ? "done"
-                       : event.type == JobEvent::Type::Failed ? "failed"
-                                                              : "cancelled";
-          break;
+        ++sent;
+        if (const char* ended = terminalState(event.type)) {
+          return protocol::okLine(idText + " " + ended);
         }
       }
-      if (!keepOpen) break;
     }
-    server_.unsubscribe(token);
-    if (vanished) {
-      return protocol::errLine(protocol::kErrUnknownJob,
-                               "job " + idText + " no longer retained");
-    }
-    if (!keepOpen || finalState.empty()) return "";
-    return protocol::okLine(idText + " " + finalState);
+    return "";
   }
 
   if (command == "STATS") {

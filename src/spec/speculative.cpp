@@ -1,5 +1,6 @@
 #include "spec/speculative.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -15,23 +16,24 @@ SpeculativeExecutor::SpeculativeExecutor(model::ModelState& state,
       master_(seed),
       pool_(pool) {}
 
-std::uint64_t SpeculativeExecutor::round(MovePhase phase,
-                                         const mcmc::SelectionContext& ctx) {
+std::uint64_t SpeculativeExecutor::round(MovePhase phase, unsigned lanes) {
   struct Lane {
     const mcmc::Move* move = nullptr;
     mcmc::PendingMove pending;
     rng::Stream stream{0};
   };
-  std::vector<Lane> lane(lanes_);
+  const unsigned n = std::clamp(lanes, 1u, lanes_);
+  std::vector<Lane> lane(n);
 
   // Derive per-lane streams from (round, lane) so the trajectory does not
-  // depend on evaluation order.
-  for (unsigned k = 0; k < lanes_; ++k) {
+  // depend on evaluation order, nor on how many lanes a round evaluates.
+  for (unsigned k = 0; k < n; ++k) {
     lane[k].stream =
         master_.derive(roundCounter_ * static_cast<std::uint64_t>(lanes_) + k);
   }
   ++roundCounter_;
 
+  const mcmc::SelectionContext ctx{};
   const auto evaluate = [&](std::size_t k) {
     Lane& l = lane[k];
     switch (phase) {
@@ -48,12 +50,12 @@ std::uint64_t SpeculativeExecutor::round(MovePhase phase,
     l.pending = l.move->propose(state_, ctx, l.stream);
   };
 
-  par::forEachIndex(lanes_ > 1 ? pool_ : nullptr, lanes_, evaluate);
+  par::forEachIndex(n > 1 ? pool_ : nullptr, n, evaluate);
 
   // Sequential commit scan: the first accepted lane ends the round.
-  std::uint64_t consumed = lanes_;
+  std::uint64_t consumed = n;
   bool anyAccepted = false;
-  for (unsigned k = 0; k < lanes_; ++k) {
+  for (unsigned k = 0; k < n; ++k) {
     const bool accepted =
         mcmc::acceptAndCommit(state_, lane[k].pending, lane[k].stream);
     diagnostics_.record(lane[k].move->name(), accepted);
@@ -66,23 +68,32 @@ std::uint64_t SpeculativeExecutor::round(MovePhase phase,
 
   ++stats_.rounds;
   stats_.logicalIterations += consumed;
-  stats_.proposalsEvaluated += lanes_;
+  stats_.proposalsEvaluated += n;
   if (anyAccepted) ++stats_.roundsWithAcceptance;
   return consumed;
 }
 
 std::uint64_t SpeculativeExecutor::run(std::uint64_t iterations,
                                        MovePhase phase,
+                                       std::uint64_t traceInterval,
                                        const mcmc::RunHooks& hooks) {
-  const std::uint64_t start = stats_.logicalIterations;
-  const std::uint64_t target = start + iterations;
-  while (stats_.logicalIterations < target) {
+  std::uint64_t done = 0;
+  std::uint64_t traced = 0;  // `done` at the last trace point
+  while (done < iterations) {
     if (hooks.cancelled()) break;
-    round(phase);
-    hooks.progress(stats_.logicalIterations - start, iterations,
-                   "speculative");
+    const std::uint64_t remaining = iterations - done;
+    done += round(phase, static_cast<unsigned>(
+                             std::min<std::uint64_t>(lanes_, remaining)));
+    hooks.progress(done, iterations, "speculative");
+    if (traceInterval != 0 &&
+        (done - traced >= traceInterval || done == iterations)) {
+      traced = done;
+      diagnostics_.tracePoint(stats_.logicalIterations, state_.logPosterior(),
+                              state_.config().size());
+      hooks.trace(diagnostics_.trace().back());
+    }
   }
-  return stats_.logicalIterations - start;
+  return done;
 }
 
 double expectedConsumedPerRound(double rejectionProbability,

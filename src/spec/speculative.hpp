@@ -60,14 +60,18 @@ class SpeculativeExecutor {
                       const mcmc::MoveRegistry& registry, unsigned lanes,
                       std::uint64_t seed, par::ThreadPool* pool = nullptr);
 
-  /// Execute one speculative round; returns consumed chain iterations.
-  std::uint64_t round(MovePhase phase = MovePhase::Any,
-                      const mcmc::SelectionContext& ctx = {});
+  /// Execute one speculative round over the first `lanes` lanes (clamped
+  /// to [1, lanes()]); returns consumed chain iterations.
+  std::uint64_t round(MovePhase phase, unsigned lanes);
 
-  /// Advance the chain by at least `iterations` logical iterations.
-  /// Cancellation is polled between rounds; returns the logical iterations
-  /// consumed by this call.
+  /// Advance the chain by exactly `iterations` logical iterations: the last
+  /// round evaluates no more lanes than iterations remain. A trace point is
+  /// recorded once at least `traceInterval` iterations have passed since
+  /// the last one (a round may cross the mark), and at the end (0 = no
+  /// trace). Cancellation is polled between rounds; returns the logical
+  /// iterations consumed by this call.
   std::uint64_t run(std::uint64_t iterations, MovePhase phase = MovePhase::Any,
+                    std::uint64_t traceInterval = 0,
                     const mcmc::RunHooks& hooks = {});
 
   [[nodiscard]] const SpeculativeStats& stats() const noexcept { return stats_; }

@@ -521,16 +521,28 @@ TEST(OneExecutorPerRun, PeriodicRunsExactlyItsBudget) {
   problem.prior.radiusMin = 5.0;
   problem.prior.radiusMax = 18.0;
   constexpr std::uint64_t kBudget = 20000;
-  const auto iterationsAt = [&](unsigned threads,
+  const auto iterationsAt = [&](const std::string& strategy, unsigned threads,
+                                std::uint64_t budget,
                                 const std::vector<std::string>& options) {
     const Engine engine(ExecResources{.threads = threads, .seed = 1});
-    return engine.run("periodic", problem, RunBudget{kBudget, 0}, {}, options)
+    return engine.run(strategy, problem, RunBudget{budget, 0}, {}, options)
         .iterations;
   };
   for (const unsigned threads : {1u, 2u, 4u}) {
-    EXPECT_EQ(iterationsAt(threads, {}), kBudget) << "threads=" << threads;
+    EXPECT_EQ(iterationsAt("periodic", threads, kBudget, {}), kBudget)
+        << "threads=" << threads;
   }
-  EXPECT_EQ(iterationsAt(1, {"virtual-threads=4"}), kBudget);
+  EXPECT_EQ(iterationsAt("periodic", 1, kBudget, {"virtual-threads=4"}),
+            kBudget);
+  // Speculative rounds stop at the budget too: the last one evaluates no
+  // more lanes than iterations remain, in periodic's global phases and in
+  // the speculative strategy, at an odd budget as well.
+  EXPECT_EQ(iterationsAt("periodic", 1, kBudget + 1, {"spec-lanes=4"}),
+            kBudget + 1);
+  for (const std::uint64_t budget : {kBudget, kBudget + 1}) {
+    EXPECT_EQ(iterationsAt("speculative", 2, budget, {"lanes=4"}), budget)
+        << "budget=" << budget;
+  }
 }
 
 TEST(RunHooks, ImmediateCancellationStillReturnsAReport) {

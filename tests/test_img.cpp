@@ -172,22 +172,6 @@ TEST(Filters, StainEmphasisPicksChannel) {
   EXPECT_GT(f(1, 0), 0.9f);
 }
 
-TEST(Filters, BoxBlurPreservesMeanOnInterior) {
-  // A constant image is a fixed point of the blur.
-  const ImageF im(16, 16, 0.37f);
-  const ImageF b = boxBlur(im, 2);
-  for (float v : b.pixels()) EXPECT_NEAR(v, 0.37f, 1e-6f);
-}
-
-TEST(Filters, BoxBlurSmoothsAnImpulse) {
-  ImageF im(9, 9, 0.0f);
-  im(4, 4) = 1.0f;
-  const ImageF b = boxBlur(im, 1);
-  EXPECT_NEAR(b(4, 4), 1.0f / 9.0f, 1e-5f);
-  EXPECT_NEAR(b(3, 3), 1.0f / 9.0f, 1e-5f);
-  EXPECT_NEAR(b(0, 0), 0.0f, 1e-6f);
-}
-
 TEST(Filters, OccupancyVectors) {
   ImageF im(4, 3, 0.0f);
   im(1, 0) = 1.0f;

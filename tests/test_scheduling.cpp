@@ -601,10 +601,10 @@ TEST(JobQueueFairness, DispatchFollowsTheDeficitSchedule) {
   serve::JobQueue queue;
   std::vector<std::uint64_t> heavy;
   std::vector<std::uint64_t> light;
-  heavy.push_back(queue.submit(specFor("heavy"), 1.0));
-  heavy.push_back(queue.submit(specFor("heavy"), 1.0));
+  heavy.push_back(queue.submit(specFor("heavy"), {}, 1.0));
+  heavy.push_back(queue.submit(specFor("heavy"), {}, 1.0));
   for (int i = 0; i < 3; ++i) {
-    light.push_back(queue.submit(specFor("light"), 0.25));
+    light.push_back(queue.submit(specFor("light"), {}, 0.25));
   }
 
   std::vector<std::uint64_t> order;
@@ -638,9 +638,11 @@ TEST(JobQueueFairness, WeightsApplyAndDefaultClientIsOneBucket) {
   // from WeightTriplesAClientsShare scaled down: a, b, b, b, a, b, a, a.
   std::vector<std::uint64_t> a;
   std::vector<std::uint64_t> b;
-  for (int i = 0; i < 4; ++i) a.push_back(queue.submit(specFor("a"), 0.25));
   for (int i = 0; i < 4; ++i) {
-    b.push_back(queue.submit(specFor("b", 3), 0.25));
+    a.push_back(queue.submit(specFor("a"), {}, 0.25));
+  }
+  for (int i = 0; i < 4; ++i) {
+    b.push_back(queue.submit(specFor("b", 3), {}, 0.25));
   }
   std::vector<std::uint64_t> order;
   while (auto id = queue.waitNext(0ms)) order.push_back(*id);
@@ -650,9 +652,9 @@ TEST(JobQueueFairness, WeightsApplyAndDefaultClientIsOneBucket) {
   // No @client anywhere -> one "default" bucket, plain FIFO.
   serve::JobQueue fifo;
   std::vector<std::uint64_t> ids;
-  ids.push_back(fifo.submit(specFor(""), 5.0));
-  ids.push_back(fifo.submit(specFor(""), 0.01));
-  ids.push_back(fifo.submit(specFor(""), 2.0));
+  ids.push_back(fifo.submit(specFor(""), {}, 5.0));
+  ids.push_back(fifo.submit(specFor(""), {}, 0.01));
+  ids.push_back(fifo.submit(specFor(""), {}, 2.0));
   std::vector<std::uint64_t> fifoOrder;
   while (auto id = fifo.waitNext(0ms)) fifoOrder.push_back(*id);
   EXPECT_EQ(fifoOrder, ids);
@@ -663,8 +665,8 @@ TEST(JobQueueFairness, WeightsApplyAndDefaultClientIsOneBucket) {
 
 TEST(JobQueueFairness, CancelRemovesFromTheScheduleAndAccounting) {
   serve::JobQueue queue;
-  const std::uint64_t doomed = queue.submit(specFor("c"), 1.0);
-  const std::uint64_t kept = queue.submit(specFor("c"), 1.0);
+  const std::uint64_t doomed = queue.submit(specFor("c"), {}, 1.0);
+  const std::uint64_t kept = queue.submit(specFor("c"), {}, 1.0);
   EXPECT_EQ(queue.cancel(doomed), serve::CancelOutcome::QueuedCancelled);
 
   const auto next = queue.waitNext(0ms);

@@ -15,6 +15,7 @@
 #include <iterator>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -274,6 +275,97 @@ TEST(Protocol, ReplyAndEventLines) {
 }
 
 // ---------------------------------------------------------------------------
+// JobQueue: one record per job, with its run and its event log
+// ---------------------------------------------------------------------------
+
+JobSpec serialSpec() {
+  JobSpec spec;
+  spec.image = "synth";
+  spec.strategy = "serial";
+  return spec;
+}
+
+TEST(JobQueue, AdmittedIsSeqOneEvenWhenAWorkerDispatchesAtOnce) {
+  JobQueue queue;
+  std::optional<JobEvent> started;
+  std::jthread worker([&] {
+    // Blocks until the job below is admitted, then logs STARTED at once.
+    const std::optional<std::uint64_t> id = queue.waitNext(20s);
+    if (id) started = queue.append(JobEvent{JobEvent::Type::Started, *id});
+  });
+  const std::uint64_t id = queue.submit(serialSpec(), {});
+  worker.join();
+  ASSERT_TRUE(started.has_value());
+  EXPECT_EQ(started->seq, 2u);
+
+  const auto log = queue.events(id, 0, 0ms);
+  ASSERT_TRUE(log.has_value());
+  ASSERT_EQ(log->size(), 2u);
+  EXPECT_EQ((*log)[0].type, JobEvent::Type::Admitted);
+  EXPECT_EQ((*log)[0].seq, 1u);
+  EXPECT_EQ((*log)[1].type, JobEvent::Type::Started);
+}
+
+TEST(JobQueue, LogEndsInTheTerminalEventOnceStatusReadsTerminal) {
+  JobQueue queue;
+  const std::uint64_t id = queue.submit(serialSpec(), {});
+  ASSERT_EQ(queue.waitNext(0ms), id);
+  for (std::uint64_t done = 1; done <= 3; ++done) {
+    ASSERT_TRUE(
+        queue.append(JobEvent{JobEvent::Type::Progress, id, done, 3}));
+  }
+  std::atomic<bool> sawTerminal{false};
+  std::atomic<bool> logAgreed{true};
+  std::jthread observer([&] {
+    while (!sawTerminal.load()) {
+      const auto status = queue.status(id);
+      if (!status || !isTerminal(status->state)) continue;
+      const auto log = queue.events(id, 0, 0ms);
+      logAgreed = log && !log->empty() &&
+                  log->back().type == JobEvent::Type::Done;
+      sawTerminal = true;
+    }
+  });
+  const std::optional<JobEvent> done = queue.finish(id, {}, "");
+  observer.join();
+  EXPECT_TRUE(logAgreed.load());
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->type, JobEvent::Type::Done);
+  EXPECT_EQ(done->seq, 5u);  // ADMITTED, 3 x PROGRESS, DONE: no gaps
+
+  // An ended job logs nothing more and no longer hands out its run.
+  EXPECT_FALSE(queue.append(JobEvent{JobEvent::Type::Progress, id, 3, 3}));
+  EXPECT_FALSE(queue.job(id).has_value());
+  EXPECT_FALSE(queue.finish(id, {}, "").has_value());
+  const auto log = queue.events(id, 0, 0ms);
+  ASSERT_TRUE(log.has_value());
+  EXPECT_EQ(log->size(), 5u);
+  // Past the end of a finished log: nothing, after the timeout.
+  EXPECT_TRUE(queue.events(id, 5, 10ms)->empty());
+  EXPECT_FALSE(queue.events(id + 1, 0, 0ms).has_value());
+}
+
+TEST(JobQueue, QueuedCancelAndFailureLogTheirTerminalEvents) {
+  JobQueue queue;
+  const std::uint64_t failing = queue.submit(serialSpec(), {});
+  const std::uint64_t doomed = queue.submit(serialSpec(), {});
+  JobEvent cancelled;
+  EXPECT_EQ(queue.cancel(doomed, &cancelled), CancelOutcome::QueuedCancelled);
+  EXPECT_EQ(cancelled.type, JobEvent::Type::Cancelled);
+  EXPECT_EQ(cancelled.id, doomed);
+  EXPECT_EQ(cancelled.seq, 2u);
+  EXPECT_EQ(queue.events(doomed, 0, 0ms)->back().seq, 2u);
+  EXPECT_EQ(queue.cancel(doomed, &cancelled),
+            CancelOutcome::AlreadyTerminal);
+
+  ASSERT_EQ(queue.waitNext(0ms), failing);
+  const std::optional<JobEvent> failed = queue.finish(failing, {}, "boom");
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_EQ(failed->type, JobEvent::Type::Failed);
+  EXPECT_EQ(queue.status(failing)->state, JobState::Failed);
+}
+
+// ---------------------------------------------------------------------------
 // Server lifecycle
 // ---------------------------------------------------------------------------
 
@@ -400,6 +492,39 @@ TEST(Server, CancelWhileQueuedNeverRuns) {
   ASSERT_TRUE(report);
   EXPECT_EQ(report->iterations, 0u);
   (void)server.cancel(slow);
+}
+
+TEST(Server, EndedJobsReleaseTheirOneshotUploads) {
+  Server server(tinyServer(1));
+  const img::Scene scene =
+      img::generateScene(img::cellScene(64, 64, 3, 8.0, 5));
+  const std::shared_ptr<const img::ImageF> upload =
+      server.internUpload(1, scene.image, /*oneshot=*/true);
+  ASSERT_EQ(upload.use_count(), 1);
+  const JobSpec spec =
+      engine::parseManifestLine("up serial @iters=300 @image=inline");
+
+  // Cancelled while queued: the record drops the run at once.
+  const std::uint64_t slow =
+      server.submitLine("synth serial @iters=500000000");
+  ASSERT_TRUE(waitFor([&] {
+    const auto status = server.status(slow);
+    return status && status->state == JobState::Running;
+  }));
+  const std::uint64_t queued = server.submit(spec, upload);
+  EXPECT_GT(upload.use_count(), 1);  // pinned by the queued job
+  EXPECT_EQ(server.cancel(queued), CancelOutcome::QueuedCancelled);
+  EXPECT_EQ(upload.use_count(), 1);
+  (void)server.cancel(slow);
+
+  // Done: released by the time the job reads terminal.
+  const std::uint64_t done = server.submit(spec, upload);
+  ASSERT_TRUE(waitFor([&] {
+    const auto status = server.status(done);
+    return status && isTerminal(status->state);
+  }));
+  EXPECT_EQ(server.status(done)->state, JobState::Done);
+  EXPECT_EQ(upload.use_count(), 1);
 }
 
 TEST(Server, GracefulShutdownDrainsShortJobs) {
@@ -696,6 +821,35 @@ TEST_F(SocketFixture, SequenceJobStreamsOrderedFrameEvents) {
   EXPECT_NE(json.find("\"frames\": ["), std::string::npos) << json;
   EXPECT_NE(json.find("\"tracks\": ["), std::string::npos) << json;
   EXPECT_NE(json.find("\"label\": \"synth.0\""), std::string::npos) << json;
+}
+
+TEST_F(SocketFixture, WaitOnAFinishedJobReplaysItsWholeLog) {
+  const std::uint64_t id =
+      client.submit("synth serial @iters=2000 @trace=50");
+  ASSERT_TRUE(waitFor([&] {
+    const auto status = server->status(id);
+    return status && isTerminal(status->state);
+  }));
+  std::vector<std::string> events;
+  EXPECT_EQ(client.wait(
+                id, [&](const std::string& line) { events.push_back(line); }),
+            "done");
+  const std::string prefix = "EVENT " + std::to_string(id) + " ";
+  ASSERT_GE(events.size(), 3u);
+  EXPECT_EQ(events.front(), prefix + "ADMITTED seq=1");
+  EXPECT_EQ(events[1], prefix + "STARTED seq=2");
+  EXPECT_EQ(events.back(),
+            prefix + "DONE seq=" + std::to_string(events.size()));
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    EXPECT_EQ(eventSeqOf(events[k]), k + 1) << events[k];  // no gaps
+  }
+
+  // A second WAIT replays the same log.
+  std::vector<std::string> again;
+  EXPECT_EQ(client.wait(
+                id, [&](const std::string& line) { again.push_back(line); }),
+            "done");
+  EXPECT_EQ(again, events);
 }
 
 TEST_F(SocketFixture, InlineUploadedSequenceRunsEndToEnd) {

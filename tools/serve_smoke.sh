@@ -4,7 +4,9 @@
 #   1. watch mode  — drop the 6-strategy manifest into a spool directory and
 #                    wait for the result JSON to appear next to it;
 #   2. socket mode — SUBMIT/WAIT/RESULT/STATS a job through mcmcpar_submit,
-#                    then SHUTDOWN and check the server exits cleanly.
+#                    WAIT on a job that already finished (the whole event
+#                    log replays from ADMITTED seq=1), then SHUTDOWN and
+#                    check the server exits cleanly.
 #
 # usage: serve_smoke.sh <mcmcpar_serve> <mcmcpar_submit> <manifest>
 set -euo pipefail
@@ -57,6 +59,25 @@ OUT=$("$SUBMIT_BIN" --port "$PORT" --progress synth serial @iters=400 @label=soc
 echo "$OUT"
 echo "$OUT" | grep -q '"state": "done"' || { echo "job did not finish"; exit 1; }
 "$SUBMIT_BIN" --port "$PORT" --stats | grep -q '"done"' || exit 1
+
+echo "== late WAIT: a finished job replays its whole event log =="
+ID=$("$SUBMIT_BIN" --port "$PORT" --no-wait synth serial @iters=400 @label=late-wait)
+for _ in $(seq 1 300); do
+  "$SUBMIT_BIN" --port "$PORT" --status "$ID" | grep -q "^OK $ID done " && break
+  sleep 0.1
+done
+"$SUBMIT_BIN" --port "$PORT" --status "$ID" | grep -q "^OK $ID done " \
+  || { echo "job $ID never finished"; exit 1; }
+LATE=$("$SUBMIT_BIN" --port "$PORT" --wait "$ID" --progress 2>&1)
+echo "$LATE"
+[[ "$(echo "$LATE" | head -1)" == "EVENT $ID ADMITTED seq=1" ]] \
+  || { echo "late WAIT did not start at EVENT $ID ADMITTED seq=1"; exit 1; }
+STARTED_AT=$(echo "$LATE" | grep -n "^EVENT $ID STARTED " | cut -d: -f1)
+DONE_AT=$(echo "$LATE" | grep -n "^EVENT $ID DONE " | cut -d: -f1)
+[[ -n "$STARTED_AT" && -n "$DONE_AT" && "$STARTED_AT" -lt "$DONE_AT" ]] \
+  || { echo "late WAIT has no STARTED before its DONE"; exit 1; }
+echo "$LATE" | tail -1 | grep -q '"state": "done"' \
+  || { echo "late WAIT did not end done"; exit 1; }
 
 echo "== METRICS: Prometheus exposition, monotone across scrapes =="
 "$SUBMIT_BIN" --port "$PORT" --metrics > "$WORK/metrics1.txt"
