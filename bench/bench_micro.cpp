@@ -370,6 +370,49 @@ void BM_TransitionSpan512Avx2(benchmark::State& state) {
 }
 BENCHMARK(BM_TransitionSpan512Avx2);
 
+// --- discRowSpans gate pair ------------------------------------------------
+// The row spans of the same 64 r~10 discs on a 512x512 raster (every disc's
+// walked rows, as the likelihood's enumerators ask for them) through each
+// backend of kernels::discRowSpans: one img::discRowSpan per row against four
+// rows per AVX2 step. Both write identical spans.
+
+void runDiscRowSpans(benchmark::State& state, model::kernels::Backend backend) {
+  const model::kernels::Backend saved = model::kernels::activeBackend();
+  if (!model::kernels::setBackend(backend)) {
+    state.SkipWithError("backend unavailable on this CPU");
+    return;
+  }
+  std::vector<model::Circle> discs;
+  rng::Stream s(37);
+  for (int i = 0; i < 64; ++i) {
+    discs.push_back(model::Circle{s.uniform(12, 500), s.uniform(12, 500),
+                                  s.uniform(9.0, 11.0)});
+  }
+  std::vector<img::RowSpan> spans(32);
+  for (auto _ : state) {
+    for (const model::Circle& c : discs) {
+      model::kernels::discRowSpans(c.x, c.y, c.r, 512,
+                                   img::discRowRange(c.y, c.r, 512),
+                                   spans.data());
+      benchmark::DoNotOptimize(spans.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  model::kernels::setBackend(saved);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(discs.size()));
+}
+
+void BM_DiscRowSpansScalar(benchmark::State& state) {
+  runDiscRowSpans(state, model::kernels::Backend::Scalar);
+}
+BENCHMARK(BM_DiscRowSpansScalar);
+
+void BM_DiscRowSpansAvx2(benchmark::State& state) {
+  runDiscRowSpans(state, model::kernels::Backend::Avx2);
+}
+BENCHMARK(BM_DiscRowSpansAvx2);
+
 void BM_FullPosteriorRecompute(benchmark::State& state) {
   model::ModelState s = microState(256, 30, 15);
   for (auto _ : state) {

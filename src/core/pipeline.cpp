@@ -141,19 +141,36 @@ std::vector<std::vector<model::Circle>> runPartitions(
     };
   };
   mcmc::RunHooks shared;
-  serialised(shared.onProgress, hooks.onProgress);
   serialised(shared.onTrace, hooks.onTrace);
   serialised(shared.cancelRequested, hooks.cancelRequested);
 
+  // Progress runs on one monotone scale: iterations done, summed over the
+  // partitions, of the summed planned iterations. Each partition sampler's
+  // beat moves its own share; a finished partition beats once more as
+  // "partition". Sums are taken and delivered under the hook mutex, so the
+  // beats arrive in order.
+  std::uint64_t planned = 0;
+  for (const PartitionPlan& plan : plans) planned += plan.iterations;
+  std::vector<std::uint64_t> doneOf(n, 0);
+  std::uint64_t done = 0;
+
   std::vector<std::optional<PartitionRun>> slots(n);
-  std::size_t finished = 0;
   const auto body = [&](std::size_t k) {
     const std::size_t i = order[k];
     if (shared.cancelled()) return;
+    mcmc::RunHooks own = shared;
+    if (hooks.onProgress) {
+      own.onProgress = [&, i](const mcmc::RunProgress& p) {
+        const std::lock_guard lock(hookMutex);
+        done += p.done - doneOf[i];
+        doneOf[i] = p.done;
+        hooks.progress(done, planned, p.phase);
+      };
+    }
     slots[i] = runPlanned(filtered, plans[i], params,
-                          params.seed + seedStride * (i + 1), shared);
+                          params.seed + seedStride * (i + 1), own);
     const std::lock_guard lock(hookMutex);
-    hooks.progress(++finished, n, "partition");
+    hooks.progress(done, planned, "partition");
   };
   par::forEachIndex(pool, n, body);
   // Cancellation is sticky, so one poll also catches a run that truncated

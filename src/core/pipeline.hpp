@@ -105,7 +105,10 @@ struct PipelineReport {
 /// else one after another on the calling thread. Partition i always runs
 /// with the same seed and lands in report slot i, so circles, per-partition
 /// runs and `merged` are bit-identical whatever the thread count. Hook
-/// callbacks from concurrent partitions are serialised. Cancellation is
+/// callbacks from concurrent partitions are serialised. Progress beats
+/// count iterations done summed over partitions, of the summed budgets, so
+/// `done` never falls and `total` never changes; each finished partition
+/// adds one beat with phase "partition". Cancellation is
 /// polled before each partition (and inside each partition's sampler);
 /// partitions that had started stay in the report, in index order.
 

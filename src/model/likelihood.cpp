@@ -11,9 +11,9 @@
 
 namespace mcmcpar::model {
 
-// Every delta/apply method walks the disc as contiguous row spans
-// (img::forEachDiscSpan, or its spans precomputed in deltaReplace) and hands
-// each span to the vectorised kernels in model/likelihood_kernels.*. Span results are folded in row order into a
+// Every delta/apply method computes each disc's row spans once
+// (kernels::discRowSpans) and hands each span to the vectorised kernels in
+// model/likelihood_kernels.*. Span results are folded in row order into a
 // plain double (move deltas) or a KahanSum (whole-image totals), which —
 // together with the kernels' fixed-lane accumulation — makes every value
 // bit-reproducible across runs, backends and machines.
@@ -47,40 +47,26 @@ PixelLikelihood::PixelLikelihood(const img::ImageF& filtered,
   constTerm_ = constTerm.value();
 }
 
-double PixelLikelihood::deltaAdd(const Circle& c) const noexcept {
-  double delta = 0.0;
-  const double lx = c.x - originX_;
-  const double ly = c.y - originY_;
-  img::forEachDiscSpan(lx, ly, c.r, gain_.width(), gain_.height(),
-                       [&](int y, int x0, int x1) noexcept {
-                         delta += kernels::spanDeltaAdd(
-                             gain_.row(y) + x0, coverage_.row(y) + x0,
-                             static_cast<std::size_t>(x1 - x0));
-                       });
-  return delta;
-}
-
-double PixelLikelihood::deltaRemove(const Circle& c) const noexcept {
-  double delta = 0.0;
-  const double lx = c.x - originX_;
-  const double ly = c.y - originY_;
-  img::forEachDiscSpan(lx, ly, c.r, gain_.width(), gain_.height(),
-                       [&](int y, int x0, int x1) noexcept {
-                         delta += kernels::spanDeltaRemove(
-                             gain_.row(y) + x0, coverage_.row(y) + x0,
-                             static_cast<std::size_t>(x1 - x0));
-                       });
-  return delta;
-}
-
 namespace {
 
-/// One disc's row spans over the rows img::forEachDiscSpan walks for it,
-/// computed once per deltaReplace: the disc's own enumeration reads them, and
-/// so does the other disc's enumeration, which cuts each of its rows by this
-/// disc's span on that row. `spans[y - rows.y0]` is exactly img::discRowSpan
-/// (empty rows included). A row outside `rows` still asks discRowSpan,
-/// because the row-range bound and the per-row sqrt can disagree at the rim.
+/// The rows img::forEachDiscSpan walks for a disc (same skip conditions);
+/// empty (y0 > y1) when it walks none.
+img::RowRange walkedRows(double cy, double r, int width, int height) noexcept {
+  if (!(r > 0.0) || width <= 0 || height <= 0) return {0, -1};
+  return img::discRowRange(cy, r, height);
+}
+
+std::size_t rowCount(img::RowRange rows) noexcept {
+  return rows.y0 > rows.y1 ? 0 : static_cast<std::size_t>(rows.y1 - rows.y0 + 1);
+}
+
+/// One disc's row spans over the rows img::forEachDiscSpan walks for it, in
+/// crop-local coordinates, computed once by kernels::discRowSpans: the
+/// disc's own enumeration reads them, and so does any other disc of the same
+/// move that cuts or splats against it. `spans[y - rows.y0]` is exactly
+/// img::discRowSpan (empty rows included). A row outside `rows` still asks
+/// discRowSpan, because the row-range bound and the per-row sqrt can
+/// disagree at the rim.
 struct DiscRows {
   double cx;
   double cy;
@@ -95,23 +81,55 @@ struct DiscRows {
   }
 };
 
-/// The rows img::forEachDiscSpan walks for a disc (same skip conditions);
-/// empty (y0 > y1) when it walks none.
-img::RowRange walkedRows(double cy, double r, int width, int height) noexcept {
-  if (!(r > 0.0) || width <= 0 || height <= 0) return {0, -1};
-  return img::discRowRange(cy, r, height);
+/// `c` on a width x height crop at (originX, originY), spans not computed yet.
+DiscRows discRowsOf(const Circle& c, int originX, int originY, int width,
+                    int height) noexcept {
+  const double cy = c.y - originY;
+  return {c.x - originX, cy, c.r, width, walkedRows(cy, c.r, width, height),
+          nullptr};
 }
 
-std::size_t rowCount(img::RowRange rows) noexcept {
-  return rows.y0 > rows.y1 ? 0 : static_cast<std::size_t>(rows.y1 - rows.y0 + 1);
-}
-
-DiscRows computeDiscRows(double cx, double cy, double r, int width,
-                         img::RowRange rows, img::RowSpan* out) noexcept {
-  for (int y = rows.y0; y <= rows.y1; ++y) {
-    out[y - rows.y0] = img::discRowSpan(cx, cy, r, y, width);
+/// Compute the spans of every disc of one move into one per-thread buffer.
+/// The buffer is thread_local because const delta evaluation may run
+/// concurrently on the same likelihood (in-place executor); one buffer
+/// serves every method, since none of them nests another.
+void computeSpans(std::span<DiscRows> discs) noexcept {
+  thread_local std::vector<img::RowSpan> buffer;
+  std::size_t need = 0;
+  for (const DiscRows& d : discs) need += rowCount(d.rows);
+  if (buffer.size() < need) buffer.resize(need);
+  img::RowSpan* out = buffer.data();
+  for (DiscRows& d : discs) {
+    kernels::discRowSpans(d.cx, d.cy, d.r, d.width, d.rows, out);
+    d.spans = out;
+    out += rowCount(d.rows);
   }
-  return DiscRows{cx, cy, r, width, rows, out};
+}
+
+/// Invoke fn(y, x0, x1) for every non-empty span of the disc, in row order:
+/// the spans img::forEachDiscSpan would visit.
+template <typename Fn>
+void forEachSpan(const DiscRows& disc, Fn&& fn) noexcept {
+  for (int y = disc.rows.y0; y <= disc.rows.y1; ++y) {
+    const img::RowSpan s = disc.spans[y - disc.rows.y0];
+    if (s.x0 < s.x1) fn(y, s.x0, s.x1);
+  }
+}
+
+/// One span kernel summed over every span of `c`, in row order (deltaAdd,
+/// deltaRemove, applyAdd, applyRemove). `Coverage` is const for the deltas.
+template <typename Coverage, typename Kernel>
+double sumDiscSpans(const Circle& c, int originX, int originY,
+                    const img::ImageF& gain, Coverage& coverage,
+                    Kernel kernel) noexcept {
+  DiscRows disc = discRowsOf(c, originX, originY, gain.width(), gain.height());
+  computeSpans({&disc, 1});
+  double delta = 0.0;
+  forEachSpan(disc, [&](int y, int x0, int x1) noexcept {
+    delta += kernel(gain.row(y) + x0, coverage.row(y) + x0,
+                    static_cast<std::size_t>(x1 - x0));
+  });
+  return delta;
 }
 
 /// Apply the span kernel to the sub-spans of [x0, x1) lying OUTSIDE the cut
@@ -141,6 +159,16 @@ double spanOutsideCut(const float* gainRow, const std::uint16_t* covRow,
 
 }  // namespace
 
+double PixelLikelihood::deltaAdd(const Circle& c) const noexcept {
+  return sumDiscSpans(c, originX_, originY_, gain_, coverage_,
+                      kernels::spanDeltaAdd);
+}
+
+double PixelLikelihood::deltaRemove(const Circle& c) const noexcept {
+  return sumDiscSpans(c, originX_, originY_, gain_, coverage_,
+                      kernels::spanDeltaRemove);
+}
+
 double PixelLikelihood::deltaReplace(const Circle& oldC,
                                      const Circle& newC) const noexcept {
   // Pixels in new\old becoming covered, pixels in old\new becoming bare.
@@ -149,41 +177,25 @@ double PixelLikelihood::deltaReplace(const Circle& oldC,
   // the apply path, so the two discs' pixel sets can never disagree with an
   // applyRemove+applyAdd of the same circles. Each disc's spans are computed
   // once and serve both as its own enumeration and as the other disc's cut;
-  // new-disc rows are summed before old-disc rows, in row order. The buffer
-  // is thread_local because const delta evaluation may run concurrently on
-  // the same likelihood (in-place executor).
-  const int width = gain_.width();
-  const int height = gain_.height();
-  const double ox = oldC.x - originX_;
-  const double oy = oldC.y - originY_;
-  const double nx = newC.x - originX_;
-  const double ny = newC.y - originY_;
-  const img::RowRange oldRange = walkedRows(oy, oldC.r, width, height);
-  const img::RowRange newRange = walkedRows(ny, newC.r, width, height);
-  thread_local std::vector<img::RowSpan> spanBuffer;
-  const std::size_t oldCount = rowCount(oldRange);
-  const std::size_t need = oldCount + rowCount(newRange);
-  if (spanBuffer.size() < need) spanBuffer.resize(need);
-  const DiscRows oldRows = computeDiscRows(ox, oy, oldC.r, width, oldRange,
-                                           spanBuffer.data());
-  const DiscRows newRows = computeDiscRows(nx, ny, newC.r, width, newRange,
-                                           spanBuffer.data() + oldCount);
+  // new-disc rows are summed before old-disc rows, in row order.
+  DiscRows discs[2] = {
+      discRowsOf(oldC, originX_, originY_, gain_.width(), gain_.height()),
+      discRowsOf(newC, originX_, originY_, gain_.width(), gain_.height())};
+  computeSpans(discs);
+  const DiscRows& oldRows = discs[0];
+  const DiscRows& newRows = discs[1];
 
   double delta = 0.0;
-  for (int y = newRange.y0; y <= newRange.y1; ++y) {
-    const img::RowSpan s = newRows.spans[y - newRange.y0];
-    if (s.x0 >= s.x1) continue;
-    delta += spanOutsideCut(gain_.row(y), coverage_.row(y), s.x0, s.x1,
+  forEachSpan(newRows, [&](int y, int x0, int x1) noexcept {
+    delta += spanOutsideCut(gain_.row(y), coverage_.row(y), x0, x1,
                             oldRows.at(y), kernels::spanDeltaAdd,
                             kernels::shortSpanDeltaAdd);
-  }
-  for (int y = oldRange.y0; y <= oldRange.y1; ++y) {
-    const img::RowSpan s = oldRows.spans[y - oldRange.y0];
-    if (s.x0 >= s.x1) continue;
-    delta += spanOutsideCut(gain_.row(y), coverage_.row(y), s.x0, s.x1,
+  });
+  forEachSpan(oldRows, [&](int y, int x0, int x1) noexcept {
+    delta += spanOutsideCut(gain_.row(y), coverage_.row(y), x0, x1,
                             newRows.at(y), kernels::spanDeltaRemove,
                             kernels::shortSpanDeltaRemove);
-  }
+  });
   return delta;
 }
 
@@ -212,10 +224,21 @@ double PixelLikelihood::deltaMultiple(std::span<const Circle> removed,
   if (x1 < x0 || y1 < y0) return 0.0;
   const int bboxWidth = x1 - x0 + 1;
 
-  // Per-row coverage deltas, rebuilt from the circles' row spans (one sqrt
-  // per circle per row; every disc span lies inside the bounding box). The
-  // buffers are thread_local because const delta evaluation may run
+  // Each disc's row spans, computed once; per row, its span is splatted
+  // into the coverage deltas (every disc span lies inside the bounding box).
+  // The buffers are thread_local because const delta evaluation may run
   // concurrently on the same likelihood (in-place executor).
+  thread_local std::vector<DiscRows> discs;
+  discs.clear();
+  for (const Circle& c : removed) {
+    discs.push_back(discRowsOf(c, originX_, originY_, gain_.width(),
+                               gain_.height()));
+  }
+  for (const Circle& c : added) {
+    discs.push_back(discRowsOf(c, originX_, originY_, gain_.width(),
+                               gain_.height()));
+  }
+  computeSpans(discs);
   thread_local std::vector<std::int16_t> scratch;
   if (scratch.size() < static_cast<std::size_t>(2 * bboxWidth)) {
     scratch.assign(static_cast<std::size_t>(2 * bboxWidth), 0);
@@ -227,19 +250,17 @@ double PixelLikelihood::deltaMultiple(std::span<const Circle> removed,
   for (int y = y0; y <= y1; ++y) {
     int rowMin = x1 + 1;
     int rowMax = x0 - 1;
-    const auto splat = [&](const Circle& c, std::int16_t* counts) noexcept {
-      const img::RowSpan s = img::discRowSpan(
-          c.x - originX_, c.y - originY_, c.r, y, gain_.width());
-      if (s.x0 >= s.x1) return;
+    for (std::size_t i = 0; i < discs.size(); ++i) {
+      const img::RowSpan s = discs[i].at(y);
+      if (s.x0 >= s.x1) continue;
       assert(s.x0 >= x0 && s.x1 <= x1 + 1);
       rowMin = std::min(rowMin, s.x0);
       rowMax = std::max(rowMax, s.x1 - 1);
+      std::int16_t* counts = i < removed.size() ? dOld : dNew;
       for (int x = s.x0; x < s.x1; ++x) {
         counts[x - x0] = static_cast<std::int16_t>(counts[x - x0] + 1);
       }
-    };
-    for (const Circle& c : removed) splat(c, dOld);
-    for (const Circle& c : added) splat(c, dNew);
+    }
     if (rowMin > rowMax) continue;
     const int off = rowMin - x0;
     const std::size_t n = static_cast<std::size_t>(rowMax - rowMin + 1);
@@ -253,29 +274,13 @@ double PixelLikelihood::deltaMultiple(std::span<const Circle> removed,
 }
 
 double PixelLikelihood::applyAdd(const Circle& c) noexcept {
-  double delta = 0.0;
-  const double lx = c.x - originX_;
-  const double ly = c.y - originY_;
-  img::forEachDiscSpan(lx, ly, c.r, gain_.width(), gain_.height(),
-                       [&](int y, int x0, int x1) noexcept {
-                         delta += kernels::spanApplyAdd(
-                             gain_.row(y) + x0, coverage_.row(y) + x0,
-                             static_cast<std::size_t>(x1 - x0));
-                       });
-  return delta;
+  return sumDiscSpans(c, originX_, originY_, gain_, coverage_,
+                      kernels::spanApplyAdd);
 }
 
 double PixelLikelihood::applyRemove(const Circle& c) noexcept {
-  double delta = 0.0;
-  const double lx = c.x - originX_;
-  const double ly = c.y - originY_;
-  img::forEachDiscSpan(lx, ly, c.r, gain_.width(), gain_.height(),
-                       [&](int y, int x0, int x1) noexcept {
-                         delta += kernels::spanApplyRemove(
-                             gain_.row(y) + x0, coverage_.row(y) + x0,
-                             static_cast<std::size_t>(x1 - x0));
-                       });
-  return delta;
+  return sumDiscSpans(c, originX_, originY_, gain_, coverage_,
+                      kernels::spanApplyRemove);
 }
 
 void PixelLikelihood::resynchronise() noexcept {

@@ -36,12 +36,14 @@ struct LikelihoodParams {
 /// writes are disjoint by the partition legality rules; the scalar total
 /// would otherwise be a race).
 ///
-/// Hot path: every method walks the disc as contiguous row spans
-/// (img::forEachDiscSpan, or for deltaReplace the same spans computed once
-/// per disc) and sums each span with the vectorised kernels in
-/// model/likelihood_kernels.hpp. The kernels' fixed-lane accumulation makes
-/// every delta bit-reproducible across backends (scalar/AVX2) and
-/// machines — see the determinism policy in that header.
+/// Hot path: every delta/apply method computes each disc's row spans once,
+/// with kernels::discRowSpans (scalar, or AVX2 four rows per step; a row
+/// with disc < 0, half < 1 or an endpoint within the rim's slop goes back
+/// to img::discRowSpan, so both return its spans exactly), then sums each
+/// span with the vectorised kernels in model/likelihood_kernels.hpp. The
+/// kernels' fixed-lane accumulation makes every delta bit-reproducible
+/// across backends (scalar/AVX2) and machines — see the determinism policy
+/// in that header.
 class PixelLikelihood {
  public:
   PixelLikelihood() = default;

@@ -273,4 +273,22 @@ double spanTransitionDelta(const float* gain, const std::uint16_t* cov,
   return scalarTransitionDelta(gain, cov, dOld, dNew, n);
 }
 
+void discRowSpans(double cx, double cy, double r, int width,
+                  img::RowRange rows, img::RowSpan* out) noexcept {
+  if (rows.y0 > rows.y1) return;
+#if defined(MCMCPAR_HAVE_AVX2_KERNELS)
+  if (activeBackend() == Backend::Avx2) {
+    if (avx2::discRowSpans(cx, cy, r, width, rows, out) == 0) return;
+    for (int y = rows.y0; y <= rows.y1; ++y) {
+      img::RowSpan& span = out[y - rows.y0];
+      if (span.x0 < 0) span = img::discRowSpan(cx, cy, r, y, width);
+    }
+    return;
+  }
+#endif
+  for (int y = rows.y0; y <= rows.y1; ++y) {
+    out[y - rows.y0] = img::discRowSpan(cx, cy, r, y, width);
+  }
+}
+
 }  // namespace mcmcpar::model::kernels

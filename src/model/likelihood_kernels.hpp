@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "img/disc_raster.hpp"
+
 namespace mcmcpar::model::kernels {
 
 /// Row-span accumulation kernels of the likelihood hot path.
@@ -11,9 +13,9 @@ namespace mcmcpar::model::kernels {
 /// Every strategy in the repo bottoms out in these loops: given a contiguous
 /// slice of the per-pixel `gain` row and the matching `coverage` counts, sum
 /// the gains of pixels whose covered/uncovered state a move flips. The span
-/// layout (img::forEachDiscSpan) makes the slices contiguous, so the inner
-/// loops vectorise; this header is the single place the summation semantics
-/// are defined.
+/// layout (img::discRowSpan, computed per disc by discRowSpans below) makes
+/// the slices contiguous, so the inner loops vectorise; this header is the
+/// single place the summation semantics are defined.
 ///
 /// Determinism policy (load-bearing: warm-start determinism and remote-tile
 /// bit-exactness assert bit-identical log-likelihoods):
@@ -93,6 +95,20 @@ double spanApplyRemove(const float* gain, std::uint16_t* cov,
                                          const std::int16_t* dOld,
                                          const std::int16_t* dNew,
                                          std::size_t n) noexcept;
+
+// --- disc geometry ----------------------------------------------------------
+
+/// Every row span of one disc in one call: out[y - rows.y0] =
+/// img::discRowSpan(cx, cy, r, y, width) for each y in [rows.y0, rows.y1],
+/// nothing when rows.y0 > rows.y1. The likelihood's enumerators compute a
+/// disc's spans through this once per disc instead of one discRowSpan call
+/// per row. The AVX2 backend solves four rows per step with the scalar
+/// arithmetic op for op (same clamps, same slack); a row goes back to
+/// img::discRowSpan itself when the vector step cannot settle it: disc < 0,
+/// half < 1, or an endpoint within the slop of the rim. Either backend
+/// therefore returns discRowSpan's spans exactly.
+void discRowSpans(double cx, double cy, double r, int width,
+                  img::RowRange rows, img::RowSpan* out) noexcept;
 
 // --- short segments ---------------------------------------------------------
 // A segment shorter than kLanes never fills a lane bank: element i lands in

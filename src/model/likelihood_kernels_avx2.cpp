@@ -6,15 +6,24 @@
 // fixed 8-lane bank, span element i lands in lane (i % 8), masked-out
 // elements contribute +0.0 (identical to the scalar ternary's 0.0 arm),
 // the float->double widening is exact, and the tail (<8 elements) plus the
-// final lane combine run the very same scalar code. There are no multiplies,
-// so FMA contraction cannot perturb the sums. spanTransitionDelta widens the
-// coverage and delta counts to 32-bit lanes before cov - dOld + dNew, exactly
-// as the scalar loop's int arithmetic, and builds -gain by flipping the float
-// sign bit, which widens to the same double as the scalar negation.
+// final lane combine run the very same scalar code. The span kernels have no
+// multiplies, so FMA contraction cannot perturb the sums.
+// spanTransitionDelta widens the coverage and delta counts to 32-bit lanes
+// before cov - dOld + dNew, exactly as the scalar loop's int arithmetic, and
+// builds -gain by flipping the float sign bit, which widens to the same
+// double as the scalar negation.
+// discRowSpans repeats img::discRowSpan's arithmetic operation for operation
+// (see its body).
 
 #include "model/likelihood_kernels_avx2.hpp"
 
 #include <immintrin.h>
+
+#include <cstddef>
+
+// For RowRange and RowSpan only: calling one of its inline functions here
+// would emit an AVX2 copy of it that other TUs may link.
+#include "img/disc_raster.hpp"
 
 namespace mcmcpar::model::kernels::avx2 {
 
@@ -202,6 +211,89 @@ double spanTransitionDelta(const float* gain, const std::uint16_t* cov,
                                : -static_cast<double>(gain[i]);
   }
   return combineLanes(lanes);
+}
+
+int discRowSpans(double cx, double cy, double r, int width,
+                 img::RowRange rows, img::RowSpan* out) noexcept {
+  static_assert(sizeof(img::RowSpan) == 2 * sizeof(int) &&
+                    offsetof(img::RowSpan, x1) == sizeof(int),
+                "the (x0, x1) pair stores assume RowSpan is two packed ints");
+  // img::discRowSpan four rows at a time, operation for operation: the same
+  // IEEE adds, multiplies, sqrt, ceil and floor in the same order, so every
+  // intermediate carries the scalar bits. (This TU must never be built with
+  // -mfma: a contracted r*r - dy*dy or slack term would round differently.)
+  // Comparisons are the negated >= forms, true on NaN, so a NaN intermediate
+  // always lands on the scalar fallback and is never converted to an int.
+  const __m256d cxv = _mm256_set1_pd(cx);
+  const __m256d cyv = _mm256_set1_pd(cy);
+  const __m256d rr = _mm256_set1_pd(r * r);
+  const __m256d absCx = _mm256_andnot_pd(_mm256_set1_pd(-0.0), cxv);
+  const __m256d halfPixel = _mm256_set1_pd(0.5);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d minusOne = _mm256_set1_pd(-1.0);
+  const __m256d widthD = _mm256_set1_pd(static_cast<double>(width));
+  const __m256d lastX = _mm256_set1_pd(static_cast<double>(width) - 1.0);
+  const __m256d slackScale = _mm256_set1_pd(1e-12);
+  const auto below = [](__m256d a, __m256d b) noexcept {
+    return _mm256_cmp_pd(a, b, _CMP_NGE_UQ);
+  };
+  int fallbacks = 0;
+  __m128i ys =
+      _mm_add_epi32(_mm_set1_epi32(rows.y0), _mm_setr_epi32(0, 1, 2, 3));
+  for (int y = rows.y0; y <= rows.y1; y += 4) {
+    const __m256d dy =
+        _mm256_sub_pd(_mm256_add_pd(_mm256_cvtepi32_pd(ys), halfPixel), cyv);
+    const __m256d disc = _mm256_sub_pd(rr, _mm256_mul_pd(dy, dy));
+    const __m256d half = _mm256_sqrt_pd(disc);
+    const __m256d lo = _mm256_sub_pd(_mm256_sub_pd(cxv, half), halfPixel);
+    const __m256d hi = _mm256_sub_pd(_mm256_add_pd(cxv, half), halfPixel);
+    const __m256d cLo = _mm256_ceil_pd(lo);
+    const __m256d fHi = _mm256_floor_pd(hi);
+    const __m256d slackNum = _mm256_mul_pd(
+        slackScale,
+        _mm256_add_pd(
+            _mm256_mul_pd(_mm256_add_pd(_mm256_add_pd(absCx, half), one), half),
+            rr));
+    const __m256d dLo = _mm256_mul_pd(_mm256_sub_pd(cLo, lo), half);
+    const __m256d dHi = _mm256_mul_pd(_mm256_sub_pd(hi, fHi), half);
+    // discRowSpan's early return (disc < 0) and its rim verification.
+    __m256d fallback = _mm256_or_pd(below(disc, zero), below(half, one));
+    fallback = _mm256_or_pd(fallback, below(dLo, slackNum));
+    fallback =
+        _mm256_or_pd(fallback, below(_mm256_sub_pd(half, dLo), slackNum));
+    fallback = _mm256_or_pd(fallback, below(dHi, slackNum));
+    fallback =
+        _mm256_or_pd(fallback, below(_mm256_sub_pd(half, dHi), slackNum));
+    // std::clamp as max-then-min (equal for the non-NaN lanes kept), then
+    // x1 + 1, exact in double; fallback rows become (-1, 0).
+    const __m256d x0 = _mm256_blendv_pd(
+        _mm256_min_pd(_mm256_max_pd(cLo, zero), widthD), minusOne, fallback);
+    const __m256d x1 = _mm256_blendv_pd(
+        _mm256_add_pd(_mm256_min_pd(_mm256_max_pd(fHi, minusOne), lastX), one),
+        zero, fallback);
+    const __m128i x0i = _mm256_cvttpd_epi32(x0);
+    const __m128i x1i = _mm256_cvttpd_epi32(x1);
+    const __m128i pairsLo = _mm_unpacklo_epi32(x0i, x1i);
+    const __m128i pairsHi = _mm_unpackhi_epi32(x0i, x1i);
+    // __m128i stores may alias any object, RowSpan pairs included.
+    img::RowSpan* block = out + (y - rows.y0);
+    const int count = rows.y1 - y < 3 ? rows.y1 - y + 1 : 4;
+    if (count == 4) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(block), pairsLo);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(block + 2), pairsHi);
+    } else {
+      img::RowSpan last[4] = {};
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(last), pairsLo);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(last + 2), pairsHi);
+      for (int i = 0; i < count; ++i) block[i] = last[i];
+    }
+    const unsigned lanes = static_cast<unsigned>(_mm256_movemask_pd(fallback)) &
+                           ((1u << count) - 1u);
+    fallbacks += __builtin_popcount(lanes);
+    ys = _mm_add_epi32(ys, _mm_set1_epi32(4));
+  }
+  return fallbacks;
 }
 
 }  // namespace mcmcpar::model::kernels::avx2

@@ -9,6 +9,11 @@
 #include <cstddef>
 #include <cstdint>
 
+namespace mcmcpar::img {
+struct RowRange;
+struct RowSpan;
+}  // namespace mcmcpar::img
+
 namespace mcmcpar::model::kernels::avx2 {
 
 double spanDeltaAdd(const float* gain, const std::uint16_t* cov,
@@ -24,5 +29,14 @@ double spanSumCovered(const float* gain, const std::uint16_t* cov,
 double spanTransitionDelta(const float* gain, const std::uint16_t* cov,
                            const std::int16_t* dOld, const std::int16_t* dNew,
                            std::size_t n) noexcept;
+
+/// Row spans of the disc (cx, cy, r) on the rows of `rows` (non-empty),
+/// out[y - rows.y0] as kernels::discRowSpans documents. A row the vector
+/// arithmetic cannot settle gets x0 = -1 instead, for the caller to fill in
+/// with img::discRowSpan; returns how many rows that is. The scalar fallback
+/// lives with the caller so that this TU, compiled with -mavx2, emits none
+/// of the inline functions that code built for any x86-64 links.
+int discRowSpans(double cx, double cy, double r, int width,
+                 img::RowRange rows, img::RowSpan* out) noexcept;
 
 }  // namespace mcmcpar::model::kernels::avx2

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <system_error>
@@ -11,6 +12,7 @@
 #include "engine/registry.hpp"
 #include "img/filters.hpp"
 #include "img/synth.hpp"
+#include "model/likelihood_kernels.hpp"
 
 namespace mcmcpar::engine {
 namespace {
@@ -556,6 +558,43 @@ TEST(RunHooks, ImmediateCancellationStillReturnsAReport) {
       engine.run("serial", problem, RunBudget{50000, 0}, hooks);
   EXPECT_TRUE(report.cancelled);
   EXPECT_EQ(report.iterations, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Scalar and AVX2 kernels are bit-identical, so whole chains are too.
+// ---------------------------------------------------------------------------
+
+TEST(BackendInvariance, SerialAndPeriodicChainsAreBitIdenticalAcrossBackends) {
+  if (!model::kernels::avx2Available()) {
+    GTEST_SKIP() << "AVX2 kernels not compiled in or CPU lacks AVX2";
+  }
+  struct BackendGuard {
+    model::kernels::Backend saved = model::kernels::activeBackend();
+    ~BackendGuard() { model::kernels::setBackend(saved); }
+  } guard;
+  img::SceneSpec spec = img::cellScene(256, 256, 20, 8.0, 29);
+  spec.radiusStd = 0.5;
+  const img::Scene scene = img::generateScene(spec);
+  const Problem problem = tinyProblem(scene);
+  const auto runOn = [&](model::kernels::Backend backend, const char* strategy,
+                         unsigned threads) {
+    EXPECT_TRUE(model::kernels::setBackend(backend));
+    const Engine engine(ExecResources{.threads = threads, .seed = 31});
+    return engine.run(strategy, problem, RunBudget{15000, 0});
+  };
+  for (const auto& [strategy, threads] :
+       {std::pair{"serial", 1u}, std::pair{"periodic", 2u}}) {
+    SCOPED_TRACE(strategy);
+    const RunReport scalar =
+        runOn(model::kernels::Backend::Scalar, strategy, threads);
+    const RunReport avx2 =
+        runOn(model::kernels::Backend::Avx2, strategy, threads);
+    EXPECT_FALSE(scalar.circles.empty());
+    EXPECT_EQ(scalar.circles, avx2.circles);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(scalar.logPosterior),
+              std::bit_cast<std::uint64_t>(avx2.logPosterior));
+    EXPECT_EQ(scalar.iterations, avx2.iterations);
+  }
 }
 
 }  // namespace

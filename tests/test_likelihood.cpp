@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "disc_cases.hpp"
 #include "img/disc_raster.hpp"
 #include "img/synth.hpp"
 #include "model/likelihood.hpp"
@@ -26,6 +27,15 @@ img::ImageF randomImage(int w, int h, std::uint64_t seed) {
 LikelihoodParams testParams() {
   return LikelihoodParams{0.8, 0.1, 0.25};
 }
+
+/// Restore the dispatched backend on scope exit.
+struct BackendGuard {
+  kernels::Backend saved = kernels::activeBackend();
+  ~BackendGuard() { kernels::setBackend(saved); }
+};
+
+constexpr kernels::Backend kBackends[] = {kernels::Backend::Scalar,
+                                          kernels::Backend::Avx2};
 
 TEST(PixelLikelihood, EmptyConfigurationMatchesBackgroundModel) {
   const img::ImageF im = randomImage(12, 9, 3);
@@ -402,34 +412,7 @@ img::ImageF wideGainImage(int w, int h, std::uint64_t seed) {
   return im;
 }
 
-/// A proposal for one applied circle: small moves, far jumps (often clipped
-/// by the border), sub-pixel radii whose every row takes discRowSpan's rim
-/// verification, knife-edge discs with pixel centres exactly on the rim,
-/// and degenerate radii. A disc of radius <= 0 enumerates no rows, yet
-/// discRowSpan still gives it a cut (r = 0 on a pixel centre cuts that
-/// pixel, r < 0 cuts the disc of radius |r|), so cutting by it exercises
-/// the rows outside the other disc's row range.
-Circle proposeFrom(const Circle& c, int gx0, int gy0, int w, int h,
-                   rng::Stream& s, bool degenerate) {
-  switch (s.below(degenerate ? 6 : 4)) {
-    case 4:
-      return {std::floor(c.x) + 0.5, std::floor(c.y) + 0.5, 0.0};
-    case 5:
-      return {c.x + s.normal(0.0, 1.5), c.y + s.normal(0.0, 1.5), -c.r};
-    case 0:
-      return {c.x + s.normal(0.0, 1.5), c.y + s.normal(0.0, 1.5),
-              std::max(0.3, c.r + s.normal(0.0, 0.6))};
-    case 1:
-      return {s.uniform(gx0 - 12.0, gx0 + w + 12.0),
-              s.uniform(gy0 - 12.0, gy0 + h + 12.0), s.uniform(1.0, 14.0)};
-    case 2:
-      return {c.x + s.uniform(-2.0, 2.0), c.y + s.uniform(-2.0, 2.0),
-              s.uniform(0.05, 1.2)};
-    default:
-      return {std::floor(c.x) + 0.5, std::floor(c.y) + 0.5,
-              static_cast<double>(1 + s.below(9))};
-  }
-}
+using testcases::proposeFrom;
 
 /// A raster of `count` applied circles over a random image, some of them
 /// knife-edge or sub-pixel, some overlapping the border.
@@ -465,20 +448,27 @@ TEST(PixelLikelihood, DeltaReplaceBitMatchesTwoPassReference) {
   // A crop with a non-zero origin sees the same circles in global
   // coordinates, most of them clipped by its border.
   const PixelLikelihood crop = cropWith(im, 17, 11, 53, 47, applied);
+  BackendGuard guard;
   int cases = 0;
-  for (const PixelLikelihood* lik : {&std::as_const(full), &crop}) {
-    for (int i = 0; i < 6000; ++i, ++cases) {
-      Circle oldC = applied[s.below(applied.size())];
-      Circle newC = proposeFrom(oldC, lik->originX(), lik->originY(),
-                                lik->width(), lik->height(), s,
-                                /*degenerate=*/true);
-      // Reversed, the degenerate proposals become the cutting disc.
-      if (s.below(4) == 0) std::swap(oldC, newC);
-      ASSERT_EQ(lik->deltaReplace(oldC, newC),
-                twoPassDeltaReplace(*lik, oldC, newC))
-          << "old (" << oldC.x << ", " << oldC.y << ", " << oldC.r
-          << ") new (" << newC.x << ", " << newC.y << ", " << newC.r
-          << ") origin (" << lik->originX() << ", " << lik->originY() << ")";
+  // The reference cuts with img::discRowSpan, so under AVX2 this also checks
+  // the batched spans against the scalar ones.
+  for (const kernels::Backend backend : kBackends) {
+    if (!kernels::setBackend(backend)) continue;  // AVX2 unavailable
+    for (const PixelLikelihood* lik : {&std::as_const(full), &crop}) {
+      for (int i = 0; i < 6000; ++i, ++cases) {
+        Circle oldC = applied[s.below(applied.size())];
+        Circle newC = proposeFrom(oldC, lik->originX(), lik->originY(),
+                                  lik->width(), lik->height(), s,
+                                  /*degenerate=*/true);
+        // Reversed, the degenerate proposals become the cutting disc.
+        if (s.below(4) == 0) std::swap(oldC, newC);
+        ASSERT_EQ(lik->deltaReplace(oldC, newC),
+                  twoPassDeltaReplace(*lik, oldC, newC))
+            << "backend " << kernels::backendName() << " old (" << oldC.x
+            << ", " << oldC.y << ", " << oldC.r << ") new (" << newC.x
+            << ", " << newC.y << ", " << newC.r << ") origin ("
+            << lik->originX() << ", " << lik->originY() << ")";
+      }
     }
   }
   EXPECT_GE(cases, 10000);
@@ -490,13 +480,9 @@ TEST(PixelLikelihood, DeltaMultipleBitMatchesSplatReference) {
   rng::Stream s(37);
   const std::vector<Circle> applied = populate(full, 96, 80, 40, s);
   const PixelLikelihood crop = cropWith(im, 17, 11, 53, 47, applied);
-  struct BackendGuard {
-    kernels::Backend saved = kernels::activeBackend();
-    ~BackendGuard() { kernels::setBackend(saved); }
-  } guard;
+  BackendGuard guard;
   int cases = 0;
-  for (const kernels::Backend backend :
-       {kernels::Backend::Scalar, kernels::Backend::Avx2}) {
+  for (const kernels::Backend backend : kBackends) {
     if (!kernels::setBackend(backend)) continue;  // AVX2 unavailable
     for (const PixelLikelihood* lik : {&std::as_const(full), &crop}) {
       for (int i = 0; i < 5000; ++i, ++cases) {
@@ -520,6 +506,69 @@ TEST(PixelLikelihood, DeltaMultipleBitMatchesSplatReference) {
     }
   }
   EXPECT_GE(cases, 10000);
+}
+
+/// Every value one backend gives along a seeded walk of single-disc moves
+/// (deltaAdd, deltaRemove, deltaReplace, applyAdd, applyRemove) over a
+/// copy of `lik`, then the coverage raster the walk leaves.
+struct SingleDiscWalk {
+  std::vector<double> values;
+  std::vector<std::uint16_t> coverage;
+};
+
+SingleDiscWalk walkSingleDiscMoves(PixelLikelihood lik,
+                                   std::vector<Circle> applied,
+                                   std::uint64_t seed) {
+  rng::Stream s(seed);
+  SingleDiscWalk walk;
+  for (int i = 0; i < 4000; ++i) {
+    const std::size_t k = s.below(applied.size());
+    const Circle c = proposeFrom(applied[k], lik.originX(), lik.originY(),
+                                 lik.width(), lik.height(), s,
+                                 /*degenerate=*/true);
+    walk.values.push_back(lik.deltaAdd(c));
+    walk.values.push_back(lik.deltaRemove(applied[k]));
+    walk.values.push_back(lik.deltaReplace(applied[k], c));
+    walk.values.push_back(lik.applyAdd(c));
+    if (s.below(2) == 0) {
+      applied.push_back(c);
+    } else {
+      walk.values.push_back(lik.applyRemove(c));
+    }
+    if (applied.size() > 30 || s.below(3) == 0) {
+      const std::size_t j = s.below(applied.size());
+      walk.values.push_back(lik.applyRemove(applied[j]));
+      applied.erase(applied.begin() + static_cast<std::ptrdiff_t>(j));
+    }
+  }
+  walk.coverage = lik.coverageRaster().pixels();
+  return walk;
+}
+
+TEST(PixelLikelihood, SingleDiscPathsBitMatchAcrossBackends) {
+  if (!kernels::avx2Available()) {
+    GTEST_SKIP() << "AVX2 kernels not compiled in or CPU lacks AVX2";
+  }
+  const img::ImageF im = wideGainImage(96, 80, 41);
+  PixelLikelihood full(im, testParams());
+  rng::Stream s(43);
+  const std::vector<Circle> applied = populate(full, 96, 80, 20, s);
+  const PixelLikelihood crop = cropWith(im, 17, 11, 53, 47, applied);
+  BackendGuard guard;
+  for (const PixelLikelihood* lik : {&std::as_const(full), &crop}) {
+    ASSERT_TRUE(kernels::setBackend(kernels::Backend::Scalar));
+    const SingleDiscWalk scalar = walkSingleDiscMoves(*lik, applied, 47);
+    ASSERT_TRUE(kernels::setBackend(kernels::Backend::Avx2));
+    const SingleDiscWalk avx2 = walkSingleDiscMoves(*lik, applied, 47);
+    ASSERT_EQ(scalar.values.size(), avx2.values.size());
+    EXPECT_GE(scalar.values.size(), 16000u);
+    for (std::size_t i = 0; i < scalar.values.size(); ++i) {
+      ASSERT_EQ(scalar.values[i], avx2.values[i])
+          << "value " << i << " origin (" << lik->originX() << ", "
+          << lik->originY() << ")";
+    }
+    EXPECT_EQ(scalar.coverage, avx2.coverage);
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "disc_cases.hpp"
 #include "img/disc_raster.hpp"
 #include "model/likelihood.hpp"
 #include "model/likelihood_kernels.hpp"
@@ -398,6 +399,106 @@ TEST(LikelihoodKernels, ShortPathBitMatchesDispatchedKernels) {
             << k::backendName() << ", n = " << n;
       }
     }
+  }
+}
+
+// --- discRowSpans -----------------------------------------------------------
+
+/// discRowSpans on the active backend must give img::discRowSpan on every
+/// row of `rows` and write nothing outside them.
+void expectRowSpansExact(double cx, double cy, double r, int width,
+                         img::RowRange rows) {
+  const std::size_t n =
+      rows.y0 > rows.y1 ? 0 : static_cast<std::size_t>(rows.y1 - rows.y0 + 1);
+  constexpr img::RowSpan kUntouched{-7, -7};
+  std::vector<img::RowSpan> out(n + 1, kUntouched);
+  k::discRowSpans(cx, cy, r, width, rows, out.data());
+  for (std::size_t i = 0; i < n; ++i) {
+    const int y = rows.y0 + static_cast<int>(i);
+    const img::RowSpan want = img::discRowSpan(cx, cy, r, y, width);
+    ASSERT_TRUE(out[i].x0 == want.x0 && out[i].x1 == want.x1)
+        << k::backendName() << " disc (" << cx << ", " << cy << ", " << r
+        << ") width " << width << " row " << y << ": got [" << out[i].x0
+        << ", " << out[i].x1 << ") want [" << want.x0 << ", " << want.x1
+        << ")";
+  }
+  EXPECT_EQ(out[n].x0, kUntouched.x0) << "wrote past the last row";
+}
+
+/// Cases for one backend; the stream fixes them, so both backends see the
+/// same discs.
+void sweepRowSpans(std::uint64_t seed) {
+  // Rows the AVX2 step hands back to discRowSpan: disc < 0 (rows outside
+  // the disc), half < 1 (the poles) and endpoints on the rim (a 3-4-5 disc
+  // centred on a pixel centre has pixel centres exactly on its rim).
+  expectRowSpansExact(20.5, 20.5, 5.0, 64, {10, 31});
+  expectRowSpansExact(20.5, 20.5, 0.5, 64, {18, 23});
+  expectRowSpansExact(-3.0, 20.5, 5.0, 64, {14, 27});
+  expectRowSpansExact(66.5, 20.5, 5.0, 64, {14, 27});
+  if (testing::Test::HasFatalFailure()) return;
+  rng::Stream s(seed);
+  for (int i = 0; i < 20000; ++i) {
+    const int width = 1 + static_cast<int>(s.below(160));
+    const int height = 1 + static_cast<int>(s.below(160));
+    // Random discs, often off-image or clipped by the border.
+    Circle c{s.uniform(-30.0, width + 30.0), s.uniform(-30.0, height + 30.0),
+             s.uniform(0.05, 30.0)};
+    switch (i % 5) {
+      case 1:  // sub-pixel radii: every row takes the rim verification
+        c.r = s.uniform(0.01, 1.2);
+        break;
+      case 2:  // knife edges, sub-pixel and degenerate radii
+        c = model::testcases::proposeFrom(c, 0, 0, width, height, s,
+                                          /*degenerate=*/true);
+        break;
+      case 3:  // pixel centres exactly on the rim: r^2 a sum of two squares
+        c = {std::floor(c.x) + (s.below(2) == 0 ? 0.5 : 0.0),
+             std::floor(c.y) + 0.5,
+             std::sqrt(static_cast<double>(s.below(400)))};
+        break;
+      case 4: {  // a rim through one pixel centre, on one side of the row
+        // Offsets in tenths make the rim pass through the pixel centre
+        // in real arithmetic (0.6/0.8/1.0), so the rounded sqrt can land
+        // on either side of that endpoint.
+        const double dx = std::round(s.uniform(-150.0, 150.0)) / 10.0;
+        const double dy = std::round(s.uniform(-150.0, 150.0)) / 10.0;
+        const double px = std::floor(s.uniform(0.0, width)) + 0.5;
+        const double py = std::floor(s.uniform(0.0, height)) + 0.5;
+        c = {px + dx, py + dy, std::sqrt(dx * dx + dy * dy)};
+        break;
+      }
+      default:
+        break;
+    }
+    expectRowSpansExact(c.x, c.y, c.r, width,
+                        img::discRowRange(c.y, c.r, height));
+    if (testing::Test::HasFatalFailure()) return;
+    // Arbitrary ranges: rows outside the disc (the rim disagreement rows),
+    // negative rows, every tail length, and empty ranges (y0 > y1).
+    const int y0 =
+        static_cast<int>(s.below(static_cast<std::uint64_t>(height) + 20)) - 10;
+    const int y1 = y0 + static_cast<int>(s.below(14)) - 2;
+    expectRowSpansExact(c.x, c.y, c.r, width, {y0, y1});
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  // Huge radii and centres hit the double clamps (and r * r overflows).
+  for (const double r : {1e8, 1e150, 1e155, 1e300}) {
+    for (const double cx : {-1e300, -1e9, 0.5, 31.25, 1e9, 1e300}) {
+      for (const double cy : {-1e12, 3.5, 40.0, 1e12}) {
+        expectRowSpansExact(cx, cy, r, 64, {0, 63});
+        if (testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(LikelihoodKernels, DiscRowSpansEqualDiscRowSpanOnEveryBackend) {
+  BackendGuard guard;
+  for (const k::Backend b : {k::Backend::Scalar, k::Backend::Avx2}) {
+    if (!k::setBackend(b)) continue;  // AVX2 unavailable
+    SCOPED_TRACE(k::backendName());
+    sweepRowSpans(71);
+    if (HasFatalFailure()) return;
   }
 }
 

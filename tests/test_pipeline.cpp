@@ -233,7 +233,7 @@ TEST_P(PipelineThreads, CancelAfterKPartitionsKeepsFinishedOnesInIndexOrder) {
     std::atomic<std::size_t> partitionsDone{0};
     engine::RunHooks hooks;
     hooks.onProgress = [&](const mcmc::RunProgress& p) {
-      if (std::string(p.phase) == "partition") partitionsDone = p.done;
+      if (std::string(p.phase) == "partition") ++partitionsDone;
     };
     hooks.cancelRequested = [&] { return partitionsDone >= k; };
     const engine::RunReport report =
@@ -272,7 +272,7 @@ TEST_P(PipelineThreads, HooksNeverOverlapAndPartitionProgressReachesTotal) {
   const img::Scene scene = img::generateScene(img::beadsScene(37));
   std::atomic<bool> inside{false};
   std::atomic<int> overlaps{0};
-  std::atomic<std::uint64_t> partitionDone{0}, partitionTotal{0};
+  std::atomic<std::uint64_t> partitionBeats{0}, lastDone{0}, lastTotal{0};
   const auto enter = [&] {
     if (inside.exchange(true)) ++overlaps;
   };
@@ -281,11 +281,10 @@ TEST_P(PipelineThreads, HooksNeverOverlapAndPartitionProgressReachesTotal) {
   engine::RunHooks hooks;
   hooks.onProgress = [&](const mcmc::RunProgress& p) {
     enter();
-    if (std::string(p.phase) == "partition") {
-      EXPECT_EQ(p.done, partitionDone + 1);  // serialised, so monotonic
-      partitionDone = p.done;
-      partitionTotal = p.total;
-    }
+    if (std::string(p.phase) == "partition") ++partitionBeats;
+    EXPECT_GE(p.done, lastDone);  // serialised, so monotonic
+    lastDone = p.done;
+    lastTotal = p.total;
     std::this_thread::yield();
     leave();
   };
@@ -302,11 +301,41 @@ TEST_P(PipelineThreads, HooksNeverOverlapAndPartitionProgressReachesTotal) {
   };
 
   const engine::RunReport report = runPipeline(GetParam(), scene, 4, hooks);
-  const std::size_t n = pipelineOf(report).partitions.size();
+  const core::PipelineReport& pipeline = pipelineOf(report);
+  std::uint64_t planned = 0;
+  for (const PartitionRun& run : pipeline.partitions) planned += run.iterations;
   EXPECT_FALSE(report.cancelled);
   EXPECT_EQ(overlaps, 0);
-  EXPECT_EQ(partitionTotal, n);
-  EXPECT_EQ(partitionDone, n);
+  EXPECT_EQ(partitionBeats, pipeline.partitions.size());
+  EXPECT_EQ(lastTotal, planned);
+  EXPECT_EQ(lastDone, planned);
+}
+
+TEST_P(PipelineThreads, ProgressIsOneMonotoneScale) {
+  // Sampler beats of concurrent partitions and the finished-partition beats
+  // all report iterations done over the whole run's planned iterations.
+  const img::Scene scene = img::generateScene(img::beadsScene(37));
+  std::vector<mcmc::RunProgress> beats;
+  engine::RunHooks hooks;
+  hooks.onProgress = [&](const mcmc::RunProgress& p) { beats.push_back(p); };
+  const engine::RunReport report = runPipeline(GetParam(), scene, 2, hooks);
+  const core::PipelineReport& pipeline = pipelineOf(report);
+  ASSERT_GE(pipeline.partitions.size(), 3u);
+  std::uint64_t planned = 0;
+  for (const PartitionRun& run : pipeline.partitions) planned += run.iterations;
+
+  ASSERT_FALSE(beats.empty());
+  std::size_t partitionBeats = 0;
+  for (std::size_t i = 0; i < beats.size(); ++i) {
+    SCOPED_TRACE("beat " + std::to_string(i) + " phase " + beats[i].phase);
+    EXPECT_EQ(beats[i].total, planned);
+    if (i > 0) {
+      EXPECT_GE(beats[i].done, beats[i - 1].done);
+    }
+    if (std::string(beats[i].phase) == "partition") ++partitionBeats;
+  }
+  EXPECT_EQ(partitionBeats, pipeline.partitions.size());
+  EXPECT_EQ(beats.back().done, planned);
 }
 
 TEST_P(PipelineThreads, RunsOnTheLeaseAndReturnsTheBudgetIntact) {
